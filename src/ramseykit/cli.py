@@ -15,8 +15,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .arrows import (ArrowError, HOLDS, FAILS, INCONCLUSIVE, check_instance,
-                     arrow_instance, joint_arrow_check,
+from .arrows import (DEFAULT_BUDGET, ArrowError, HOLDS, FAILS, INCONCLUSIVE,
+                     check_instance, arrow_instance, joint_arrow_check,
                      ramsey_degree_upper_probe, render_cnf,
                      subset_arrow_instance)
 from .certificates import (Certificate, CertificateError, coloring_lines,
@@ -34,8 +34,6 @@ from .indiscernibles import (DEFAULT_ARITY_CAP, IndiscernibilityError,
                              extract_indiscernible_pattern, is_indiscernible)
 from .qftypes import qftp
 from .structures import SignatureError, StructureError
-
-DEFAULT_BUDGET = 10_000_000
 
 _EXIT = {
     HOLDS: 0, "PASS": 0, "WITNESS": 0, "ORDERABLE": 0, "FOUND": 0,

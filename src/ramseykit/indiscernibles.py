@@ -121,6 +121,25 @@ def delta_type(M: Structure, delta, values: tuple[int, ...]):
     return tuple(bits)
 
 
+def _delta_colouring(I: IndexedSequence, delta):
+    """Index tuple -> Δ-type of its target tuple, one delta_type per target tuple.
+
+    Many index tuples share a target tuple (index points share assigned
+    tuples), so the Δ-types are memoised by target tuple for the life of
+    the returned function.
+    """
+    memo: dict[tuple[int, ...], object] = {}
+
+    def colour(tup) -> object:
+        values = I.concat(tup)
+        got = memo.get(values)
+        if got is None:
+            got = memo[values] = delta_type(I.target, delta, values)
+        return got
+
+    return colour
+
+
 # -- indiscernibility ---------------------------------------------------------
 
 
@@ -139,13 +158,14 @@ def is_indiscernible(I: IndexedSequence, delta,
     type class, tagged by the first disagreeing formula (or "orbit" in
     ALL mode).
     """
+    colour = _delta_colouring(I, delta)
     violations = []
     for n in range(1, cap + 1):
         for group in _type_groups(I.index, n).values():
             rep = group[0]
-            want = delta_type(I.target, delta, I.concat(rep))
+            want = colour(rep)
             for tup in group[1:]:
-                got = delta_type(I.target, delta, I.concat(tup))
+                got = colour(tup)
                 if got != want:
                     violations.append((rep, tup, _first_disagreement(delta, want, got)))
     return not violations, tuple(violations)
@@ -181,16 +201,26 @@ def check_locally_based(J: IndexedSequence, I: IndexedSequence, delta,
         raise IndiscernibilityError("sequences must share target and width")
     if J.index.signature != I.index.signature:
         raise IndiscernibilityError("index structures must share a signature")
+    i_colour = _delta_colouring(I, delta)
+    j_colour = _delta_colouring(J, delta)
     witnesses = []
     misses = []
     for n in range(1, cap + 1):
-        table: dict = {}
+        wanted = {ibar: (qftp(J.index, ibar), j_colour(ibar))
+                  for ibar in itertools.product(range(J.index.size), repeat=n)}
+        # the first I-tuple of each wanted key, in product order; the scan
+        # stops once every key is matched
+        need = set(wanted.values())
+        first: dict = {}
         for jbar in itertools.product(range(I.index.size), repeat=n):
-            key = (qftp(I.index, jbar), delta_type(I.target, delta, I.concat(jbar)))
-            table.setdefault(key, jbar)
-        for ibar in itertools.product(range(J.index.size), repeat=n):
-            key = (qftp(J.index, ibar), delta_type(J.target, delta, J.concat(ibar)))
-            hit = table.get(key)
+            if not need:
+                break
+            key = (qftp(I.index, jbar), i_colour(jbar))
+            if key in need:
+                need.remove(key)
+                first[key] = jbar
+        for ibar, key in wanted.items():
+            hit = first.get(key)
             if hit is None:
                 misses.append(ibar)
             else:
@@ -302,7 +332,8 @@ def extract_indiscernible_pattern(I: IndexedSequence, N_target: Structure,
                                   delta) -> ExtractionResult:
     """First N_target-copy in the index on which I is Δ-indiscernible.
 
-    Index tuples up to length |N_target| are colored once by Δ-type; a
+    Index tuples up to length |N_target| are colored once by Δ-type (one
+    delta_type evaluation per distinct target tuple); a
     candidate copy survives when each of its index-type classes is
     monochromatic (all classes jointly).  Survivors are re-verified with
     the public checks before being returned, so a non-none result is
@@ -316,12 +347,9 @@ def extract_indiscernible_pattern(I: IndexedSequence, N_target: Structure,
         raise IndiscernibilityError("the pattern does not embed in the index")
     cap = N_target.size
 
-    color: list[dict] = [{}]
-    for n in range(1, cap + 1):
-        level = {}
-        for tup in itertools.product(range(N.size), repeat=n):
-            level[tup] = delta_type(I.target, delta, I.concat(tup))
-        color.append(level)
+    colour = _delta_colouring(I, delta)
+    color = {tup: colour(tup) for n in range(1, cap + 1)
+             for tup in itertools.product(range(N.size), repeat=n)}
     groups = [None] + [list(_type_groups(N_target, n).values())
                        for n in range(1, cap + 1)]
 
@@ -329,8 +357,8 @@ def extract_indiscernible_pattern(I: IndexedSequence, N_target: Structure,
         ok = True
         for n in range(1, cap + 1):
             for group in groups[n]:
-                first = color[n][g.apply_tuple(group[0])]
-                if any(color[n][g.apply_tuple(t)] != first for t in group[1:]):
+                first = color[g.apply_tuple(group[0])]
+                if any(color[g.apply_tuple(t)] != first for t in group[1:]):
                     ok = False
                     break
             if not ok:

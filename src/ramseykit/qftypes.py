@@ -11,6 +11,15 @@ diagram type*, the canonical pointed form of the induced tables on the
 tuple's bare point set (no closure).  The two notions agree on relational
 constant-free structures; they differ exactly where function closure
 leaks information, which is what term-iteration colorings need to ignore.
+
+On relational structures without constants the generated substructure is
+the tuple's bare point set, and every point is pointed, so the canonical
+labeling is the first-occurrence relabeling: the certificate is written
+down directly from the relation tuples inside the point set, found through
+the structure's support index, with no canonical search.  Elsewhere the
+closure is labeled by :func:`canonical_search`; the certificates of both
+paths have the same shape.  Generated types are cached per tuple and
+interned per certificate, so equal types from one structure are one object.
 """
 
 from __future__ import annotations
@@ -18,10 +27,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .structures import (Signature, Structure, canonical_search,
                          generated_substructure, induced_substructure_tables,
-                         structure_tables)
+                         relation_rows_within, structure_tables)
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,20 @@ class QfType:
     cert: tuple
     kind: str = "generated"
 
+    def __post_init__(self) -> None:
+        # Types key dictionaries in every hot loop; hashing the nested
+        # certificate each time would dominate them.
+        object.__setattr__(self, "_hash",
+                           hash((self.signature, self.arity, self.cert, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):
+        # rebuild through __init__ so an unpickled copy rehashes in its
+        # own process (string hashes are salted per process)
+        return (QfType, (self.signature, self.arity, self.cert, self.kind))
+
     def sort_key(self):
         return (self.arity, self.kind, self.cert)
 
@@ -52,30 +76,51 @@ def _fast_path_ok(M: Structure) -> bool:
     return M.is_relational and not M.signature.constants
 
 
-def _pretype_key(M: Structure, abar: tuple[int, ...]):
-    # First-occurrence relabeling of the tuple's point set; valid only when
-    # the generated substructure is the bare point set (relational, no
-    # constants).  Tuples with equal keys share a canonical certificate.
+def _direct_cert(M: Structure, abar: tuple[int, ...]) -> tuple:
+    # The first-occurrence relabeling is the canonical labeling here (see
+    # the module docstring), so this equals canonical_search's certificate.
     relabel: dict[int, int] = {}
     for e in abar:
         if e not in relabel:
             relabel[e] = len(relabel)
-    inside = set(abar)
-    tables = tuple(
-        tuple(sorted(tuple(relabel[x] for x in t)
-                     for t in M._rels[sym] if all(x in inside for x in t)))
-        for sym, _ in M.signature.relations)
-    return (len(relabel), tables, tuple(relabel[e] for e in abar))
+    rows: dict[int, list] = {}
+    for si, t in relation_rows_within(M, relabel):
+        rows.setdefault(si, []).append(tuple(map(relabel.__getitem__, t)))
+    # every symbol is listed; expansions have many, few of them non-empty
+    rels = M.signature.relations
+    rel_sec = list(zip(map(itemgetter(0), rels), itertools.repeat(())))
+    for si, r in rows.items():
+        rel_sec[si] = (rels[si][0], tuple(sorted(r)))
+    return (len(relabel), tuple(rel_sec), (), (),
+            tuple(map(relabel.__getitem__, abar)))
+
+
+def _closure_cert(M: Structure, abar: tuple[int, ...]) -> tuple:
+    sub, closure = generated_substructure(M, set(abar))
+    old2new = {e: i for i, e in enumerate(closure)}
+    pointing = tuple(old2new[x] for x in abar)
+    rel_items, fn_items, const_items = structure_tables(sub)
+    cert, _ = canonical_search(sub.size, rel_items, fn_items,
+                               const_items, pointing)
+    return cert
 
 
 def qftp(M: Structure, abar) -> QfType:
     """Quantifier-free type of a tuple (repeats allowed).
 
-    Computed as the canonical pointed form of the generated substructure.
-    Cached per tuple; relational constant-free structures additionally
-    share certificates between tuples whose local diagrams already match
-    under first-occurrence relabeling.
+    The canonical pointed form of the generated substructure.  On
+    relational constant-free structures the certificate is written down
+    directly from the relation tuples inside the tuple's point set, with
+    no canonical search; otherwise the closure is labeled by
+    :func:`canonical_search`.  Cached per tuple (a cached tuple is
+    returned before its entries are re-checked; every other input is
+    converted and range-checked), and interned per certificate: equal
+    types from one structure are the same object.
     """
+    if isinstance(abar, tuple):
+        hit = M._type_cache.get(abar)
+        if hit is not None:
+            return hit
     abar = tuple(int(x) for x in abar)
     for x in abar:
         if not 0 <= x < M.size:
@@ -83,26 +128,10 @@ def qftp(M: Structure, abar) -> QfType:
     hit = M._type_cache.get(abar)
     if hit is not None:
         return hit
-
-    if _fast_path_ok(M):
-        key = _pretype_key(M, abar)
-        cert = M._pretype_cache.get(key)
-        if cert is None:
-            size, tables, pointing = key
-            rel_items = tuple((sym, tabs) for (sym, _), tabs
-                              in zip(M.signature.relations, tables))
-            cert, _ = canonical_search(size, rel_items, (), (), pointing)
-            M._pretype_cache[key] = cert
-        t = QfType(M.signature, len(abar), cert)
-    else:
-        sub, closure = generated_substructure(M, set(abar))
-        old2new = {e: i for i, e in enumerate(closure)}
-        pointing = tuple(old2new[x] for x in abar)
-        rel_items, fn_items, const_items = structure_tables(sub)
-        cert, _ = canonical_search(sub.size, rel_items, fn_items,
-                                   const_items, pointing)
-        t = QfType(M.signature, len(abar), cert)
-
+    cert = _direct_cert(M, abar) if _fast_path_ok(M) else _closure_cert(M, abar)
+    t = M._type_intern.get(cert)
+    if t is None:
+        t = M._type_intern[cert] = QfType(M.signature, len(abar), cert)
     M._type_cache[abar] = t
     return t
 
@@ -130,6 +159,13 @@ def induced_type(M: Structure, abar) -> QfType:
     return t
 
 
+def _reference_type(M: Structure, abar) -> QfType:
+    abar = tuple(int(x) for x in abar)
+    if len(set(abar)) != len(abar):
+        raise ValueError("reference tuple must have pairwise distinct entries")
+    return qftp(M, abar)
+
+
 def enumerate_qf_copies(M: Structure, abar) -> list[tuple[int, ...]]:
     """All injective tuples over M with the same quantifier-free type as ā.
 
@@ -138,12 +174,7 @@ def enumerate_qf_copies(M: Structure, abar) -> list[tuple[int, ...]]:
     order, includes ā, and is *not* deduplicated up to re-enumeration of a
     shared support.
     """
-    abar = tuple(int(x) for x in abar)
-    if len(set(abar)) != len(abar):
-        raise ValueError("reference tuple must have pairwise distinct entries")
-    target = qftp(M, abar)
-    return [p for p in itertools.permutations(range(M.size), len(abar))
-            if qftp(M, p) == target]
+    return copies_of_type(M, _reference_type(M, abar))
 
 
 def qf_copies_within(M: Structure, abar, ground) -> list[tuple[int, ...]]:
@@ -153,13 +184,7 @@ def qf_copies_within(M: Structure, abar, ground) -> list[tuple[int, ...]]:
     generated substructure may leave the ground set; only its entries are
     constrained.
     """
-    abar = tuple(int(x) for x in abar)
-    if len(set(abar)) != len(abar):
-        raise ValueError("reference tuple must have pairwise distinct entries")
-    pts = sorted(set(int(g) for g in ground))
-    target = qftp(M, abar)
-    return [p for p in itertools.permutations(pts, len(abar))
-            if qftp(M, p) == target]
+    return copies_of_type(M, _reference_type(M, abar), ground)
 
 
 def copies_of_type(M: Structure, t: QfType,
@@ -167,7 +192,9 @@ def copies_of_type(M: Structure, t: QfType,
     """Injective tuples of M realizing a given (generated) type.
 
     The type may originate in a different structure over the same
-    signature; certificates make the comparison meaningful.
+    signature; certificates make the comparison meaningful.  The result
+    is in lexicographic order; ``ground`` optionally restricts the
+    entries to a subset of M.
     """
     if t.signature != M.signature:
         raise ValueError("type and structure signatures differ")

@@ -106,7 +106,7 @@ class Structure:
     __slots__ = (
         "signature", "size", "name", "_rels", "_fns", "_consts", "_key",
         "_hash", "_gensub_cache", "_type_cache", "_induced_cache",
-        "_pretype_cache", "_canon_cert", "_aut_cache",
+        "_type_intern", "_support_index", "_canon_cert", "_aut_cache",
     )
 
     def __init__(self, signature: Signature, size: int, relations=None,
@@ -174,7 +174,8 @@ class Structure:
         self._gensub_cache: dict = {}
         self._type_cache: dict = {}
         self._induced_cache: dict = {}
-        self._pretype_cache: dict = {}
+        self._type_intern: dict = {}
+        self._support_index = None
         self._canon_cert = None
         self._aut_cache = None
 
@@ -218,6 +219,42 @@ class Structure:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<Structure{label} size={self.size}>"
+
+
+# -- relation tuples by support ---------------------------------------------
+
+
+def _rows_by_support(M: Structure):
+    # Built once per structure: each relation tuple filed under its point
+    # set (as a sorted tuple) with the symbol's position in the signature,
+    # and the size of the largest point set.  One entry per table row, so
+    # it is no larger than M's own tables.
+    if M._support_index is None:
+        index: dict[tuple[int, ...], list] = {}
+        for si, (sym, _) in enumerate(M.signature.relations):
+            for t in M._rels[sym]:
+                index.setdefault(tuple(sorted(set(t))), []).append((si, t))
+        M._support_index = (index, max(map(len, index), default=0))
+    return M._support_index
+
+
+def relation_rows_within(M: Structure, points) -> list[tuple[int, tuple[int, ...]]]:
+    """Every relation tuple whose entries all lie in a set of domain elements.
+
+    Returns ``(symbol position, tuple)`` pairs, the position indexing
+    ``M.signature.relations``, in no particular order.  Looks up each
+    subset of the points no larger than the widest relation tuple, so the
+    cost depends on the point set and not on the size of the tables.
+    """
+    index, widest = _rows_by_support(M)
+    pts = sorted(set(points))
+    rows = []
+    for r in range(1, min(len(pts), widest) + 1):
+        for sub in itertools.combinations(pts, r):
+            hit = index.get(sub)
+            if hit is not None:
+                rows.extend(hit)
+    return rows
 
 
 # -- generated substructures -----------------------------------------------

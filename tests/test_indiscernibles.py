@@ -1,6 +1,10 @@
 """Indexed sequences, indiscernibility checks, extraction, and transfer."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseykit import (ALL_FORMULAS, IndiscernibilityError, Structure,
                        check_locally_based, delta_type, embeds,
@@ -10,7 +14,7 @@ from ramseykit import (ALL_FORMULAS, IndiscernibilityError, Structure,
                        induced_type_union_relation, is_indiscernible,
                        linear_order, pure_set, qftp, reindex)
 
-from conftest import FN_SIG, graph
+from conftest import FN_SIG, GRAPH_SIG, graph
 
 EDGE = formula_set("E(x0, x1)")
 LESS = formula_set("<(x0, x1)")
@@ -197,6 +201,82 @@ class TestExtraction:
         I = identity_sequence(linear_order(2))
         with pytest.raises(IndiscernibilityError):
             extract_indiscernible_pattern(I, linear_order(3), LESS)
+
+
+def direct_extraction(I, N_target, delta):
+    """Reference extraction: one delta_type call per index tuple."""
+    cap = N_target.size
+    color = {tup: delta_type(I.target, delta, I.concat(tup))
+             for n in range(1, cap + 1)
+             for tup in itertools.product(range(I.index.size), repeat=n)}
+    groups = {}
+    for n in range(1, cap + 1):
+        for tup in itertools.product(range(N_target.size), repeat=n):
+            groups.setdefault(qftp(N_target, tup), []).append(tup)
+    candidates = enumerate_embeddings(I.index, N_target)
+    for checked, g in enumerate(candidates, start=1):
+        if all(color[g.apply_tuple(t)] == color[g.apply_tuple(group[0])]
+               for group in groups.values() for t in group):
+            return g.mapping, checked
+    return None, len(candidates)
+
+
+def direct_locally_based(J, I, delta, cap):
+    """Reference check_locally_based: full source table, direct delta_type."""
+    witnesses, misses = [], []
+    for n in range(1, cap + 1):
+        table = {}
+        for jbar in itertools.product(range(I.index.size), repeat=n):
+            key = (qftp(I.index, jbar), delta_type(I.target, delta, I.concat(jbar)))
+            table.setdefault(key, jbar)
+        for ibar in itertools.product(range(J.index.size), repeat=n):
+            hit = table.get((qftp(J.index, ibar),
+                             delta_type(J.target, delta, J.concat(ibar))))
+            if hit is None:
+                misses.append(ibar)
+            else:
+                witnesses.append((ibar, hit))
+    return not misses, tuple(witnesses), tuple(misses)
+
+
+@st.composite
+def graph_sequences(draw):
+    """An LO_n-indexed sequence into a random graph, plus a second
+    assignment over the same index and target."""
+    n = draw(st.integers(3, 7))
+    size = draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(size), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    target = graph(size, edges)
+    rows = st.lists(st.integers(0, size - 1), min_size=n, max_size=n)
+    return (indexed_sequence(linear_order(n), target, draw(rows)),
+            indexed_sequence(linear_order(n), target, draw(rows)))
+
+
+class TestMemoisedColouring:
+    """Each distinct target tuple is Δ-typed once per call; the results
+    must match evaluating delta_type on every index tuple."""
+
+    DELTAS = (formula_set("E(x0, x1)", "x0 = x1"), ALL_FORMULAS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_sequences(), st.sampled_from(DELTAS), st.integers(2, 3))
+    def test_extraction_matches_direct_delta_type(self, seqs, delta, k):
+        I, _ = seqs
+        out = extract_indiscernible_pattern(I, linear_order(k), delta)
+        mapping = out.embedding.mapping if out.embedding else None
+        assert (mapping, out.candidates_checked) == \
+            direct_extraction(I, linear_order(k), delta)
+        assert out.verified == (mapping is not None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_sequences(), st.sampled_from(DELTAS), st.integers(1, 3))
+    def test_locally_based_matches_direct_delta_type(self, seqs, delta, cap):
+        I, other = seqs
+        g = enumerate_embeddings(I.index, linear_order(3))[0]
+        for J in (reindex(I, g), reindex(other, g), other):
+            assert check_locally_based(J, I, delta, cap) == \
+                direct_locally_based(J, I, delta, cap)
 
 
 class TestInducedTypeUnion:

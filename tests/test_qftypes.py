@@ -1,14 +1,35 @@
 """Quantifier-free types: oracle equivalence, kinds, copies, digests."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ramseykit import (Structure, copies_of_type, enumerate_qf_copies,
-                       induced_type, linear_order, pure_set, qf_copies_within,
-                       qftp, type_digest)
+from ramseykit import (Signature, Structure, copies_of_type,
+                       enumerate_qf_copies, induced_type, linear_order,
+                       pure_set, qf_copies_within, qftp, type_digest)
+from ramseykit.structures import canonical_search, induced_substructure_tables
 
 from conftest import FN_SIG, binary_structures, functional_structures, graph, pointed_pairs
 from oracles import oracle_generated_qftp_equal, oracle_induced_qftp_equal
+
+
+MIXED_SIG = Signature((("P", 1), ("R", 2), ("T", 3)), (), ())
+
+
+@st.composite
+def mixed_arity_tuples(draw, max_size=5, max_tuple=4):
+    """A relational constant-free structure with arities 1-3, and a tuple
+    into it (possibly empty, entries may repeat)."""
+    n = draw(st.integers(1, max_size))
+    rels = {}
+    for sym, ar in MIXED_SIG.relations:
+        rows = list(itertools.product(range(n), repeat=ar))
+        rels[sym] = draw(st.sets(st.sampled_from(rows), max_size=12))
+    M = Structure(MIXED_SIG, n, rels, {}, {})
+    k = draw(st.integers(0, max_tuple))
+    return M, tuple(draw(st.integers(0, n - 1)) for _ in range(k))
 
 
 def successor_chain(n: int) -> Structure:
@@ -48,6 +69,58 @@ class TestGeneratedTypes:
         M1, t1, M2, t2 = data
         assert (qftp(M1, t1) == qftp(M2, t2)) == \
             oracle_generated_qftp_equal(M1, t1, M2, t2)
+
+
+class TestDirectCertificate:
+    """The relational constant-free path writes the certificate without a
+    search; it must equal the canonical search on the same pointed input."""
+
+    @staticmethod
+    def searched_cert(M, abar):
+        size, rels, fns, consts, old2new = induced_substructure_tables(M, set(abar))
+        pointing = tuple(old2new[x] for x in abar)
+        return canonical_search(size, rels, fns, consts, pointing)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_arity_tuples())
+    def test_equals_canonical_search(self, data):
+        M, abar = data
+        assert qftp(M, abar).cert == self.searched_cert(M, abar)
+
+    def test_empty_and_repeated_tuples(self):
+        M = Structure(MIXED_SIG, 3, {"P": {(1,)}, "R": {(1, 1), (0, 1)},
+                                     "T": {(1, 0, 1), (2, 2, 2)}}, {}, {})
+        for abar in ((), (1, 1), (1, 0, 1, 1), (2, 2, 2), (2, 0, 1, 0)):
+            assert qftp(M, abar).cert == self.searched_cert(M, abar), abar
+        assert qftp(M, ()).cert == (0, (("P", ()), ("R", ()), ("T", ())), (), (), ())
+
+
+class TestInterning:
+    def test_equal_types_are_one_object(self):
+        lo = linear_order(5)
+        assert qftp(lo, (0, 2)) is qftp(lo, (1, 3))
+        assert qftp(lo, (0, 2)) is not qftp(lo, (2, 0))
+        chain = successor_chain(4)
+        assert qftp(chain, (1, 0)) is qftp(chain, (1, 0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_arity_tuples(max_size=4, max_tuple=2))
+    def test_interned_within_a_structure(self, data):
+        M, _ = data
+        seen = {}
+        for k in (1, 2):
+            for abar in itertools.product(range(M.size), repeat=k):
+                t = qftp(M, abar)
+                assert seen.setdefault(t, t) is t
+
+    def test_range_checked_after_the_cache_is_warm(self):
+        lo = linear_order(3)
+        warm = {abar: qftp(lo, abar)
+                for abar in itertools.product(range(3), repeat=2)}
+        for bad in ((0, 3), (3, 0), (-1, 1), [0, 5], (7,)):
+            with pytest.raises(ValueError):
+                qftp(lo, bad)
+        assert qftp(lo, [0, 1]) is warm[(0, 1)]
 
 
 class TestInducedTypes:
@@ -92,6 +165,8 @@ class TestCopies:
     def test_rejects_repeated_entries(self):
         with pytest.raises(ValueError):
             enumerate_qf_copies(linear_order(3), (1, 1))
+        with pytest.raises(ValueError):
+            qf_copies_within(linear_order(3), (1, 1), range(3))
 
     def test_ground_restriction(self):
         lo = linear_order(5)
