@@ -18,7 +18,7 @@ from .structures import (Signature, Structure, SignatureError,
                          substructure_closure)
 from .embeddings import (AutomorphismGroup, Embedding, EmbeddingError,
                          automorphism_group, embeds, enumerate_embeddings,
-                         first_embedding, is_rigid)
+                         first_embedding, is_rigid, iter_embeddings)
 from .qftypes import (QfType, copies_of_type, enumerate_qf_copies,
                       induced_type, qf_copies_within, qftp, type_digest)
 from .formulas import (And, ConstTerm, EqAtom, FormulaError, FuncTerm,

@@ -10,15 +10,18 @@ need.
 
 Copies come in two flavors sharing one engine: embedding copies
 (binom(C, A) as injective structure maps) and subset copies (tuples in a
-host realizing a fixed quantifier-free type).  All results carry enough
-state to re-verify certificates without re-running any search.
+host realizing a fixed quantifier-free type); :func:`build_instance`
+picks one by name.  :func:`check_instance` is the only entry to the
+search, for single arrows, degree probes and joint refutation alike, so
+every FAILS is re-verified in one place.  All results carry enough state
+to re-verify certificates without re-running any search.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embeddings import Embedding, automorphism_group, enumerate_embeddings, first_embedding
 from .formulas import eval_term, term_variables
@@ -105,21 +108,26 @@ class ArrowInstance:
             raise ArrowError("one member list per B-copy required")
 
 
-def arrow_instance(C: Structure, B: Structure, A: Structure, r: int) -> ArrowInstance:
-    """Embedding-copy instance: copies are binom(C,A), B-copies binom(C,B).
+def _embedding_members(C: Structure, B: Structure, A: Structure, bcopies):
+    """Copy keys of binom(C,A) and the member list of each B-copy.
 
     The members of a B-copy e are the compositions e after f over
     f in binom(B,A); composition of embeddings is an embedding, so every
     member is an existing copy key.
     """
     acopies = enumerate_embeddings(C, A)
-    bcopies = enumerate_embeddings(C, B)
     inner = enumerate_embeddings(B, A)
     index = {e.mapping: i for i, e in enumerate(acopies)}
     members = tuple(tuple(sorted(index[e.compose(f).mapping] for f in inner))
                     for e in bcopies)
-    return ArrowInstance("embedding", r,
-                         tuple(e.mapping for e in acopies),
+    return tuple(e.mapping for e in acopies), members
+
+
+def arrow_instance(C: Structure, B: Structure, A: Structure, r: int) -> ArrowInstance:
+    """Embedding-copy instance: copies are binom(C,A), B-copies binom(C,B)."""
+    bcopies = enumerate_embeddings(C, B)
+    copy_keys, members = _embedding_members(C, B, A, bcopies)
+    return ArrowInstance("embedding", r, copy_keys,
                          tuple(e.mapping for e in bcopies), members)
 
 
@@ -142,6 +150,20 @@ def subset_arrow_instance(host: Structure, a_type: QfType, b_type: QfType,
     counts = {len(m) for m in members}
     assert len(counts) <= 1, "inner copy count must not depend on the B-copy"
     return ArrowInstance("subset", r, tuple(acopies), tuple(bcopies), tuple(members))
+
+
+def build_instance(copies: str, C: Structure, B: Structure, A: Structure,
+                   r: int) -> ArrowInstance:
+    """The instance of C -> (B)^A_r over ``embedding`` or ``subset`` copies.
+
+    Subset copies realize the full types of A and of B.
+    """
+    if copies == "embedding":
+        return arrow_instance(C, B, A, r)
+    if copies == "subset":
+        return subset_arrow_instance(C, qftp(A, tuple(range(A.size))),
+                                     qftp(B, tuple(range(B.size))), r)
+    raise ArrowError(f"unknown copy kind {copies!r}")
 
 
 # -- the bad-coloring search -------------------------------------------------
@@ -452,19 +474,13 @@ def ramsey_degree_upper_probe(A: Structure, B: Structure, candidates,
         all_hold = True
         inconclusive = False
         for r in range(d + 1, r_cap + 1):
-            instance = arrow_instance(C, B, A, r)
-            colors, _, exhausted = _search_bad_coloring(
-                instance.members, len(instance.copy_keys), r, d, budget)
-            if colors is not None:
-                per_r.append((r, FAILS))
+            verdict = check_instance(arrow_instance(C, B, A, r), "decide",
+                                     d=d, budget=budget).verdict
+            per_r.append((r, verdict))
+            if verdict != HOLDS:
                 all_hold = False
+                inconclusive = verdict == INCONCLUSIVE
                 break
-            if not exhausted:
-                per_r.append((r, INCONCLUSIVE))
-                all_hold = False
-                inconclusive = True
-                break
-            per_r.append((r, HOLDS))
         checked.append((name, C.size, tuple(per_r)))
         if all_hold:
             return DegreeBounds(lower, d, r_cap, "WITNESS", C, tuple(checked))
@@ -499,19 +515,21 @@ class JointArrowResult:
 
 
 def joint_instance(C: Structure, B: Structure, patterns, rs, ds) -> JointInstance:
+    """binom(C,B) once, then each pattern's copies and member lists."""
+    patterns = list(patterns)
+    if not (len(patterns) == len(rs) == len(ds)):
+        raise ArrowError("patterns, colors, and caps must have equal length")
+    if any(r < 1 for r in rs) or any(d < 1 for d in ds):
+        raise ArrowError("colors and caps must be positive")
     bcopies = enumerate_embeddings(C, B)
     pattern_copies = []
     pattern_members = []
     for A in patterns:
         if first_embedding(B, A) is None:
             raise ArrowError("every pattern must embed in B")
-        acopies = enumerate_embeddings(C, A)
-        inner = enumerate_embeddings(B, A)
-        index = {e.mapping: i for i, e in enumerate(acopies)}
-        pattern_copies.append(tuple(e.mapping for e in acopies))
-        pattern_members.append(tuple(
-            tuple(sorted(index[e.compose(f).mapping] for f in inner))
-            for e in bcopies))
+        copy_keys, members = _embedding_members(C, B, A, bcopies)
+        pattern_copies.append(copy_keys)
+        pattern_members.append(members)
     return JointInstance(tuple(rs), tuple(ds),
                          tuple(e.mapping for e in bcopies),
                          tuple(pattern_copies), tuple(pattern_members))
@@ -553,10 +571,6 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
     patterns = list(patterns)
     rs = [2] * len(patterns) if rs is None else list(rs)
     ds = [1] * len(patterns) if ds is None else list(ds)
-    if not (len(patterns) == len(rs) == len(ds)):
-        raise ArrowError("patterns, colors, and caps must have equal length")
-    if any(r < 1 for r in rs) or any(d < 1 for d in ds):
-        raise ArrowError("colors and caps must be positive")
     if mode not in ("refute", "sample"):
         raise ArrowError(f"unknown joint mode {mode!r}")
 
@@ -579,16 +593,17 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
     if mode == "refute":
         exhausted_all = True
         for p in range(len(patterns)):
-            colors, dstats, exhausted = _search_bad_coloring(
-                instance.pattern_members[p], len(instance.pattern_copies[p]),
-                rs[p], ds[p], budget)
-            stats[f"nodes_{p}"] = dstats["nodes"]
-            if colors is not None:
+            res = check_instance(
+                ArrowInstance("embedding", rs[p], instance.pattern_copies[p],
+                              instance.bcopy_keys, instance.pattern_members[p]),
+                "decide", d=ds[p], budget=budget)
+            stats[f"nodes_{p}"] = res.stat("nodes")
+            if res.verdict == FAILS:
                 # this pattern alone breaks every B-copy; pad the others
                 tuple_colors = [[0] * len(pc) for pc in instance.pattern_copies]
-                tuple_colors[p] = colors
+                tuple_colors[p] = [c for _, c in res.coloring.assignments]
                 return fails(tuple_colors)
-            exhausted_all = exhausted_all and exhausted
+            exhausted_all = exhausted_all and res.verdict == HOLDS
         if exhausted_all and len(patterns) == 1:
             return JointArrowResult(HOLDS, mode, seed, tuple(sorted(stats.items())),
                                     None, None, instance)

@@ -21,9 +21,9 @@ import tempfile
 from dataclasses import dataclass, field
 
 from . import arrows
-from .arrows import ArrowError, Coloring, arrow_instance, coloring_refutes
+from .arrows import Coloring, build_instance, coloring_refutes
 from .classes import GENERATORS, elf_minimize, order_every_member
-from .embeddings import Embedding, automorphism_group
+from .embeddings import Embedding, EmbeddingError, automorphism_group
 from .expansions import isolator, qf_type_morleyisation
 from .indiscernibles import (check_locally_based, is_indiscernible, reindex)
 from .qftypes import qftp
@@ -224,13 +224,7 @@ def _replay_arrow(cert: Certificate, report: ReplayReport) -> None:
     A = parse_structure_file(cert.section("pattern"))
     r = int(cert.payload_value("r"))
     d = int(cert.payload_value("d"))
-    copies = cert.payload_value("copies")
-    if copies == "embedding":
-        instance = arrow_instance(C, B, A, r)
-    else:
-        a_type = qftp(A, tuple(range(A.size)))
-        b_type = qftp(B, tuple(range(B.size)))
-        instance = arrows.subset_arrow_instance(C, a_type, b_type, r)
+    instance = build_instance(cert.payload_value("copies"), C, B, A, r)
     report.add(f"instance rebuilt: {len(instance.copy_keys)} copies, "
                f"{len(instance.bcopy_keys)} target copies")
     if int(cert.payload_value("acopies")) != len(instance.copy_keys) or \
@@ -304,6 +298,8 @@ def _replay_orderable(cert: Certificate, report: ReplayReport) -> None:
         types = []
         for row in cert.payload_values("phi"):
             mi, tup = row.split(" ")
+            if not 0 <= int(mi) < len(F.members):
+                raise CertificateError(f"phi row {row!r} names no class member")
             types.append(qftp(F.members[int(mi)], decode_key(tup)))
         relations = order_every_member(F, frozenset(types))
         bad = [i for i, rel in enumerate(relations)
@@ -355,6 +351,11 @@ def _replay_extract(cert: Certificate, report: ReplayReport) -> None:
     if cert.verdict == "FOUND":
         mapping = decode_key(cert.payload_value("embedding"))
         g = Embedding(N_target, I.index, mapping)
+        try:
+            g.validate()
+        except EmbeddingError as exc:
+            report.fail(f"recorded mapping is not an embedding: {exc}")
+            return
         J = reindex(I, g)
         ok, _ = is_indiscernible(J, delta, N_target.size)
         based, _, _ = check_locally_based(J, I, delta, N_target.size)

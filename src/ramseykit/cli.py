@@ -4,8 +4,11 @@ Every run (except ``verify``) writes a plain-text certificate embedding its
 inputs, configuration, seed, and verdict data; ``verify`` replays one with
 no further search.  Exit codes: 0 the property holds or a witness was
 found, 1 refuted with certificate, 2 inconclusive within budget, 3 input
-error.  The node budget defaults to 10^7 and can be preset through the
-``RAMSEYKIT_BUDGET`` environment variable.
+error.  One helper, ``_certify``, writes every certificate, prints its
+echo lines and maps the verdict to the exit code.  The node budget
+defaults to 10^7 and can be preset through the ``RAMSEYKIT_BUDGET``
+environment variable; argparse converts it, and ``main`` checks that it
+is positive once, before any subcommand runs.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ import sys
 from dataclasses import dataclass
 
 from .arrows import (DEFAULT_BUDGET, ArrowError, HOLDS, FAILS, INCONCLUSIVE,
-                     check_instance, arrow_instance, joint_arrow_check,
-                     ramsey_degree_upper_probe, render_cnf,
-                     subset_arrow_instance)
+                     build_instance, check_instance, joint_arrow_check,
+                     ramsey_degree_upper_probe, render_cnf)
 from .certificates import (Certificate, CertificateError, coloring_lines,
                            encode_key, decode_key, parse_certificate,
                            replay_certificate, write_certificate)
@@ -58,10 +60,6 @@ class WorkbenchConfig:
     k: int | None = None
     out: str = ""
 
-    def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise ArrowError("budget must be positive")
-
     def render(self) -> str:
         parts = [f"budget={self.budget}", f"seed={self.seed}"]
         if self.mode:
@@ -71,25 +69,31 @@ class WorkbenchConfig:
         return " ".join(parts)
 
 
-def _default_budget() -> int:
-    raw = os.environ.get("RAMSEYKIT_BUDGET", "")
-    return int(raw) if raw else DEFAULT_BUDGET
-
-
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 
-def _read_structure(path: str):
-    return parse_structure_file(_read(path), base_dir=os.path.dirname(path) or ".")
+def _parse(path: str, parser):
+    """Parse one input file; references inside resolve next to it."""
+    return parser(_read(path), base_dir=os.path.dirname(path) or ".")
 
 
-def _emit(cert: Certificate, out: str, echo: list[str]) -> None:
+def _certify(args, command: str, kind: str, verdict: str, echo, *,
+             k: int | None = None, stats=(), notes=(), sections=(),
+             payload=()) -> int:
+    """Write the run's certificate, print the echo lines, give the exit code."""
+    config = WorkbenchConfig(args.budget, args.seed,
+                             mode=getattr(args, "mode", ""), k=k)
+    cert = Certificate(kind=kind, command=command, config=config.render(),
+                       verdict=verdict, stats=stats, notes=notes,
+                       sections=tuple(sections), payload=tuple(payload))
+    out = args.out or f"{kind}.cert"
     write_certificate(cert, out)
     for line in echo:
         print(line)
     print(f"certificate: {out}")
+    return _EXIT[verdict]
 
 
 def _stat_line(stats) -> str:
@@ -100,15 +104,9 @@ def _stat_line(stats) -> str:
 
 
 def _cmd_arrow(args, command: str) -> int:
-    C = _read_structure(args.ground)
-    B = _read_structure(args.target)
-    A = _read_structure(args.pattern)
-    if args.copies == "embedding":
-        instance = arrow_instance(C, B, A, args.colors)
-    else:
-        a_type = qftp(A, tuple(range(A.size)))
-        b_type = qftp(B, tuple(range(B.size)))
-        instance = subset_arrow_instance(C, a_type, b_type, args.colors)
+    C, B, A = (_parse(p, parse_structure_file)
+               for p in (args.ground, args.target, args.pattern))
+    instance = build_instance(args.copies, C, B, A, args.colors)
     if args.format == "cnf":
         text = render_cnf(instance)
         if args.out:
@@ -119,7 +117,6 @@ def _cmd_arrow(args, command: str) -> int:
             sys.stdout.write(text)
         return 0
 
-    config = WorkbenchConfig(args.budget, args.seed, mode=args.mode)
     result = check_instance(instance, args.mode, d=args.degree,
                             seed=args.seed, budget=args.budget,
                             samples=args.samples)
@@ -128,26 +125,23 @@ def _cmd_arrow(args, command: str) -> int:
                f"bcopies {len(instance.bcopy_keys)}"]
     if result.coloring is not None:
         payload.extend(coloring_lines(result.coloring))
-    cert = Certificate(
-        kind="arrow", command=command, config=config.render(),
-        verdict=result.verdict, stats=result.stats,
+    return _certify(
+        args, command, "arrow", result.verdict,
+        [f"verdict: {result.verdict}", f"stats: {_stat_line(result.stats)}"],
+        stats=result.stats,
         sections=(("ground", serialize_structure(C)),
                   ("target", serialize_structure(B)),
                   ("pattern", serialize_structure(A))),
-        payload=tuple(payload))
-    _emit(cert, args.out or "arrow.cert",
-          [f"verdict: {result.verdict}", f"stats: {_stat_line(result.stats)}"])
-    return _EXIT[result.verdict]
+        payload=payload)
 
 
 def _cmd_joint_arrow(args, command: str) -> int:
-    C = _read_structure(args.ground)
-    B = _read_structure(args.target)
-    patterns = [_read_structure(p) for p in args.patterns]
+    C = _parse(args.ground, parse_structure_file)
+    B = _parse(args.target, parse_structure_file)
+    patterns = [_parse(p, parse_structure_file) for p in args.patterns]
     rs = [int(x) for x in args.colors.split(",")]
     ds = ([int(x) for x in args.degrees.split(",")] if args.degrees
           else [1] * len(patterns))
-    config = WorkbenchConfig(args.budget, args.seed, mode=args.mode)
     result = joint_arrow_check(C, B, patterns, rs, ds, args.mode,
                                seed=args.seed, samples=args.samples,
                                budget=args.budget)
@@ -160,20 +154,16 @@ def _cmd_joint_arrow(args, command: str) -> int:
                 ("target", serialize_structure(B))]
     sections.extend((f"pattern{p}", serialize_structure(A))
                     for p, A in enumerate(patterns))
-    cert = Certificate(
-        kind="joint-arrow", command=command, config=config.render(),
-        verdict=result.verdict, stats=result.stats,
-        sections=tuple(sections), payload=tuple(payload))
-    _emit(cert, args.out or "joint-arrow.cert",
-          [f"verdict: {result.verdict}", f"stats: {_stat_line(result.stats)}"])
-    return _EXIT[result.verdict]
+    return _certify(
+        args, command, "joint-arrow", result.verdict,
+        [f"verdict: {result.verdict}", f"stats: {_stat_line(result.stats)}"],
+        stats=result.stats, sections=sections, payload=payload)
 
 
 def _cmd_degree(args, command: str) -> int:
-    A = _read_structure(args.pattern)
-    B = _read_structure(args.target)
+    A = _parse(args.pattern, parse_structure_file)
+    B = _parse(args.target, parse_structure_file)
     candidates = GENERATORS[args.candidates](args.upto).members
-    config = WorkbenchConfig(args.budget, args.seed)
     result = ramsey_degree_upper_probe(A, B, candidates, args.degree,
                                        r_cap=args.max_colors,
                                        budget=args.budget)
@@ -184,24 +174,17 @@ def _cmd_degree(args, command: str) -> int:
         payload.append(f"probe {name} size={size} {cells}".rstrip())
     sections = [("pattern", serialize_structure(A)),
                 ("target", serialize_structure(B))]
-    if result.witness is not None:
-        sections.append(("witness", serialize_structure(result.witness)))
-    cert = Certificate(
-        kind="degree", command=command, config=config.render(),
-        verdict=result.verdict, sections=tuple(sections),
-        payload=tuple(payload))
     echo = [f"verdict: {result.verdict}",
             f"lower bound (automorphisms): {result.lower}"]
     if result.witness is not None:
+        sections.append(("witness", serialize_structure(result.witness)))
         echo.append(f"witness: {result.witness.name or result.witness.size}")
-    _emit(cert, args.out or "degree.cert", echo)
-    return _EXIT[result.verdict]
+    return _certify(args, command, "degree", result.verdict, echo,
+                    sections=sections, payload=payload)
 
 
 def _cmd_class_check(args, command: str) -> int:
-    text = _read(args.classfile)
-    F = parse_class_file(text, base_dir=os.path.dirname(args.classfile) or ".")
-    config = WorkbenchConfig(args.budget, args.seed)
+    F = _parse(args.classfile, parse_class_file)
     witness_bound = args.witness_bound if args.witness_bound else F.bound
     reports = [
         hp_check(F),
@@ -213,41 +196,30 @@ def _cmd_class_check(args, command: str) -> int:
     nonrigid = rigidity_scan(F)
     payload = [f"property {rep.property} {rep.verdict}" for rep in reports]
     payload.append(f"nonrigid {len(nonrigid)}")
-    notes = tuple(note for rep in reports for note in rep.notes)
     verdicts = [rep.verdict for rep in reports]
     overall = ("FAIL" if "FAIL" in verdicts
                else INCONCLUSIVE if INCONCLUSIVE in verdicts else "PASS")
-    cert = Certificate(
-        kind="class-check", command=command, config=config.render(),
-        verdict=overall, notes=notes,
-        sections=(("class", serialize_class(F)),), payload=tuple(payload))
     echo = [f"{rep.property}: {rep.verdict}" for rep in reports]
     echo.append(f"members with extra automorphisms: {len(nonrigid)}")
     echo.append(f"overall: {overall}")
-    _emit(cert, args.out or "class-check.cert", echo)
-    return _EXIT[overall]
+    return _certify(args, command, "class-check", overall, echo,
+                    notes=tuple(note for rep in reports for note in rep.notes),
+                    sections=(("class", serialize_class(F)),), payload=payload)
 
 
 def _cmd_orderable(args, command: str) -> int:
-    F = parse_class_file(_read(args.classfile),
-                         base_dir=os.path.dirname(args.classfile) or ".")
-    config = WorkbenchConfig(args.budget, args.seed)
+    F = _parse(args.classfile, parse_class_file)
     result = orderability_search(F, max_assignments=args.max_assignments)
     payload = [f"tried {len(result.tried)}"]
+    echo = [f"verdict: {result.verdict}",
+            f"orientation sets tried: {len(result.tried)}"]
     if result.verdict == "ORDERABLE":
         for t in result.types:
             mi, pair = _find_realizer(F, t)
             payload.append(f"phi {mi} {encode_key(pair)}")
-    cert = Certificate(
-        kind="orderable", command=command, config=config.render(),
-        verdict=result.verdict,
-        sections=(("class", serialize_class(F)),), payload=tuple(payload))
-    echo = [f"verdict: {result.verdict}",
-            f"orientation sets tried: {len(result.tried)}"]
-    if result.verdict == "ORDERABLE":
         echo.append(f"defining types: {len(result.types)}")
-    _emit(cert, args.out or "orderable.cert", echo)
-    return _EXIT[result.verdict]
+    return _certify(args, command, "orderable", result.verdict, echo,
+                    sections=(("class", serialize_class(F)),), payload=payload)
 
 
 def _find_realizer(F, t):
@@ -259,102 +231,78 @@ def _find_realizer(F, t):
     raise ClassError("orderability type has no realizer in the class")
 
 
-def _cmd_expansion(args, command: str, kind: str) -> int:
-    M = _read_structure(args.structfile)
+def _cmd_expansion(args, command: str) -> int:
+    kind = args.subcommand
+    M = _parse(args.structfile, parse_structure_file)
     k = args.k if args.k is not None else M.size
-    config = WorkbenchConfig(args.budget, args.seed, k=k)
     out = qf_type_morleyisation(M, k) if kind == "expand" else isolator(M, k)
     out_text = serialize_structure(out, name=(M.name or "M") + f"_{kind}")
+    echo = [f"k: {k}", f"output relations: {len(out.signature.relations)}"]
     if args.out_structure:
         with open(args.out_structure, "w", encoding="utf-8") as fh:
             fh.write(out_text)
-    cert = Certificate(
-        kind=kind, command=command, config=config.render(), verdict="DONE",
-        sections=(("input", serialize_structure(M)), ("output", out_text)),
-        payload=(f"k {k}",
-                 f"relations {len(out.signature.relations)}"))
-    echo = [f"k: {k}", f"output relations: {len(out.signature.relations)}"]
-    if args.out_structure:
         echo.append(f"structure: {args.out_structure}")
-    _emit(cert, args.out or f"{kind}.cert", echo)
-    return 0
+    return _certify(args, command, kind, "DONE", echo, k=k,
+                    sections=(("input", serialize_structure(M)),
+                              ("output", out_text)),
+                    payload=(f"k {k}",
+                             f"relations {len(out.signature.relations)}"))
 
 
 def _cmd_indiscernible(args, command: str) -> int:
-    I, delta = parse_sequence_file(_read(args.seqfile),
-                                   base_dir=os.path.dirname(args.seqfile) or ".")
-    config = WorkbenchConfig(args.budget, args.seed)
+    I, delta = _parse(args.seqfile, parse_sequence_file)
     ok, violations = is_indiscernible(I, delta, args.cap)
     verdict = "INDISCERNIBLE" if ok else "NOT-INDISCERNIBLE"
     payload = [f"cap {args.cap}"]
     payload.extend(
         f"violation {encode_key(rep)} {encode_key(tup)} {label}"
         for rep, tup, label in violations)
-    cert = Certificate(
-        kind="indiscernible", command=command, config=config.render(),
-        verdict=verdict,
-        sections=(("sequence", _read(args.seqfile)),), payload=tuple(payload))
-    echo = [f"verdict: {verdict}", f"violations: {len(violations)}"]
-    _emit(cert, args.out or "indiscernible.cert", echo)
-    return _EXIT[verdict]
+    return _certify(args, command, "indiscernible", verdict,
+                    [f"verdict: {verdict}", f"violations: {len(violations)}"],
+                    sections=(("sequence", _read(args.seqfile)),),
+                    payload=payload)
 
 
 def _cmd_extract(args, command: str) -> int:
-    seq_text = _read(args.seqfile)
-    I, delta = parse_sequence_file(seq_text,
-                                   base_dir=os.path.dirname(args.seqfile) or ".")
-    N_target = _read_structure(args.patternfile)
-    config = WorkbenchConfig(args.budget, args.seed)
+    I, delta = _parse(args.seqfile, parse_sequence_file)
+    N_target = _parse(args.patternfile, parse_structure_file)
     result = extract_indiscernible_pattern(I, N_target, delta)
     verdict = "FOUND" if result.embedding is not None else "NONE"
     payload = [f"candidates {result.candidates_checked}"]
-    if result.embedding is not None:
-        payload.append(f"embedding {encode_key(result.embedding.mapping)}")
-    cert = Certificate(
-        kind="extract", command=command, config=config.render(),
-        verdict=verdict,
-        sections=(("sequence", seq_text),
-                  ("pattern", serialize_structure(N_target))),
-        payload=tuple(payload))
     echo = [f"verdict: {verdict}",
             f"candidates checked: {result.candidates_checked}"]
     if result.embedding is not None:
+        payload.append(f"embedding {encode_key(result.embedding.mapping)}")
         echo.append(f"index copy: {encode_key(result.embedding.mapping)}")
-    _emit(cert, args.out or "extract.cert", echo)
-    return _EXIT[verdict]
+    return _certify(args, command, "extract", verdict, echo,
+                    sections=(("sequence", _read(args.seqfile)),
+                              ("pattern", serialize_structure(N_target))),
+                    payload=payload)
 
 
 def _cmd_elf(args, command: str) -> int:
-    B = _read_structure(args.structfile)
+    B = _parse(args.structfile, parse_structure_file)
     abar = decode_key(args.tuple)
-    config = WorkbenchConfig(args.budget, args.seed)
     ground = elf_minimize(B, abar)
-    cert = Certificate(
-        kind="elf", command=command, config=config.render(), verdict="DONE",
+    return _certify(
+        args, command, "elf", "DONE",
+        [f"minimal ground: {encode_key(ground)} ({len(ground)} elements)"],
         sections=(("host", serialize_structure(B)),),
         payload=(f"tuple {encode_key(abar)}", f"ground {encode_key(ground)}"))
-    _emit(cert, args.out or "elf.cert",
-          [f"minimal ground: {encode_key(ground)} ({len(ground)} elements)"])
-    return 0
 
 
 def _cmd_generate(args, command: str) -> int:
     F = GENERATORS[args.family](args.upto)
-    config = WorkbenchConfig(args.budget, args.seed)
     text = serialize_class(F, name=args.family)
+    echo = [f"members: {len(F.members)}"]
     if args.out_class:
         with open(args.out_class, "w", encoding="utf-8") as fh:
             fh.write(text)
-    cert = Certificate(
-        kind="generate", command=command, config=config.render(),
-        verdict="DONE", sections=(("class", text),),
-        payload=(f"family {args.family}", f"upto {args.upto}",
-                 f"members {len(F.members)}"))
-    echo = [f"members: {len(F.members)}"]
-    if args.out_class:
         echo.append(f"class file: {args.out_class}")
-    _emit(cert, args.out or "generate.cert", echo)
-    return 0
+    return _certify(args, command, "generate", "DONE", echo,
+                    sections=(("class", text),),
+                    payload=(f"family {args.family}", f"upto {args.upto}",
+                             f"members {len(F.members)}"))
 
 
 def _cmd_verify(args) -> int:
@@ -372,7 +320,8 @@ def _cmd_verify(args) -> int:
 
 
 def _common(sub, mode_choices=None, default_mode=None) -> None:
-    sub.add_argument("--budget", type=int, default=_default_budget(),
+    sub.add_argument("--budget", type=int,
+                     default=os.environ.get("RAMSEYKIT_BUDGET") or DEFAULT_BUDGET,
                      help="search node budget (env RAMSEYKIT_BUDGET)")
     sub.add_argument("--seed", type=int, default=0, help="random seed")
     sub.add_argument("--samples", type=int, default=200,
@@ -481,6 +430,8 @@ _HANDLERS = {
     "extract": _cmd_extract,
     "elf": _cmd_elf,
     "generate": _cmd_generate,
+    "expand": _cmd_expansion,
+    "isolate": _cmd_expansion,
 }
 
 
@@ -495,8 +446,8 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "verify":
             return _cmd_verify(args)
-        if args.subcommand in ("expand", "isolate"):
-            return _cmd_expansion(args, command, args.subcommand)
+        if args.budget <= 0:
+            raise ArrowError("budget must be positive")
         return _HANDLERS[args.subcommand](args, command)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,13 +3,16 @@
 An embedding is an injective map on domains that preserves *and reflects*
 every relation atom, maps every defined function value to an equal defined
 value (definedness is preserved forward, never reflected), and matches
-constants.  Enumeration order is deterministic: results are sorted by
-their mapping tuples, so the first embedding found is stable across runs.
+constants.  There is one search, the generator :func:`iter_embeddings`;
+it tries element images in ascending order, so embeddings come out sorted
+by mapping tuple with no sort afterwards.  ``enumerate_embeddings``,
+``first_embedding`` and ``embeds`` only consume it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .structures import SignatureMismatch, Structure
@@ -61,7 +64,7 @@ class Embedding:
         """Independent atom-by-atom re-check; raises on any violation.
 
         Deliberately not shared with the search in
-        :func:`enumerate_embeddings`: the enumerator prunes incrementally,
+        :func:`iter_embeddings`: the search prunes incrementally,
         this walks every atom from scratch so returned embeddings can be
         re-certified without trusting the search.
         """
@@ -97,7 +100,17 @@ class Embedding:
         return True
 
 
-def _search(host: Structure, pattern: Structure, fixed, limit):
+def iter_embeddings(host: Structure, pattern: Structure,
+                    fixed: dict[int, int] | None = None) -> Iterator[Embedding]:
+    """Embeddings of ``pattern`` into ``host``, lazily, by mapping tuple.
+
+    Element images are tried in ascending order, so mappings come out in
+    lexicographic order.  ``fixed`` optionally pins pattern elements to
+    host elements before the search (used by amalgamation checks).
+    Raises :class:`SignatureMismatch` at once when the signatures differ.
+    """
+    if host.signature != pattern.signature:
+        raise SignatureMismatch("pattern and host signatures differ")
     n = pattern.size
     sig = pattern.signature
 
@@ -105,18 +118,17 @@ def _search(host: Structure, pattern: Structure, fixed, limit):
     for sym in sig.constants:
         pe, he = pattern.const(sym), host.const(sym)
         if pre.setdefault(pe, he) != he:
-            return []
+            return iter(())
     for k, v in (fixed or {}).items():
         if pre.setdefault(int(k), int(v)) != int(v):
-            return []
+            return iter(())
     if len(set(pre.values())) != len(pre):
-        return []
+        return iter(())
 
     rel_syms = sig.relations
     fn_syms = [(sym, pattern.fn_entries(sym)) for sym, _ in sig.functions]
     assign = [-1] * n
     used = [False] * host.size
-    out: list[tuple[int, ...]] = []
 
     def consistent(e: int, img: int) -> bool:
         assigned = [x for x in range(n) if assign[x] >= 0 or x == e]
@@ -142,63 +154,39 @@ def _search(host: Structure, pattern: Structure, fixed, limit):
                     return False
         return True
 
-    def rec(e: int) -> bool:
+    def rec(e: int) -> Iterator[Embedding]:
         if e == n:
-            out.append(tuple(assign))
-            return limit is not None and len(out) >= limit
+            yield Embedding(pattern, host, tuple(assign))
+            return
         candidates = [pre[e]] if e in pre else range(host.size)
         for img in candidates:
-            if used[img]:
+            if used[img] or not consistent(e, img):
                 continue
-            if not consistent(e, img):
-                continue
-            assign[e] = e_img = img
+            assign[e] = img
             used[img] = True
-            done = rec(e + 1)
+            yield from rec(e + 1)
             assign[e] = -1
-            used[e_img] = False
-            if done:
-                return True
-        return False
+            used[img] = False
 
-    rec(0)
-    return out
+    return rec(0)
 
 
 def enumerate_embeddings(host: Structure, pattern: Structure,
                          fixed: dict[int, int] | None = None) -> list[Embedding]:
-    """All embeddings of ``pattern`` into ``host``, sorted by mapping tuple.
-
-    ``fixed`` optionally pins pattern elements to host elements before the
-    search (used by amalgamation checks).  Raises
-    :class:`SignatureMismatch` when the signatures differ.
-    """
-    if host.signature != pattern.signature:
-        raise SignatureMismatch("pattern and host signatures differ")
-    maps = _search(host, pattern, fixed, limit=None)
-    maps.sort()
-    return [Embedding(pattern, host, m) for m in maps]
-
-
-def embeds(host: Structure, pattern: Structure,
-           fixed: dict[int, int] | None = None) -> bool:
-    """Existence check with early exit (same search, first hit wins)."""
-    if host.signature != pattern.signature:
-        raise SignatureMismatch("pattern and host signatures differ")
-    return bool(_search(host, pattern, fixed, limit=1))
+    """All embeddings of ``pattern`` into ``host``, sorted by mapping tuple."""
+    return list(iter_embeddings(host, pattern, fixed))
 
 
 def first_embedding(host: Structure, pattern: Structure,
                     fixed: dict[int, int] | None = None) -> Embedding | None:
-    """Lexicographically least embedding, or None.
+    """Lexicographically least embedding, or None."""
+    return next(iter_embeddings(host, pattern, fixed), None)
 
-    Element images are tried in ascending order, so the first complete
-    assignment is the lex-least mapping.
-    """
-    if host.signature != pattern.signature:
-        raise SignatureMismatch("pattern and host signatures differ")
-    maps = _search(host, pattern, fixed, limit=1)
-    return Embedding(pattern, host, maps[0]) if maps else None
+
+def embeds(host: Structure, pattern: Structure,
+           fixed: dict[int, int] | None = None) -> bool:
+    """Existence check: the search stops at the first embedding."""
+    return first_embedding(host, pattern, fixed) is not None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .embeddings import Embedding, automorphism_group, enumerate_embeddings
+from .embeddings import Embedding, automorphism_group, iter_embeddings
 from .formulas import eval_on_tuple, formula_arity, parse_formula, render_formula
 from .qftypes import QfType, qftp
 from .structures import Structure
@@ -335,15 +335,17 @@ def extract_indiscernible_pattern(I: IndexedSequence, N_target: Structure,
     Index tuples up to length |N_target| are colored once by Δ-type (one
     delta_type evaluation per distinct target tuple); a
     candidate copy survives when each of its index-type classes is
-    monochromatic (all classes jointly).  Survivors are re-verified with
-    the public checks before being returned, so a non-none result is
-    sound by construction.
+    monochromatic (all classes jointly).  Candidates are drawn lazily in
+    lexicographic order, so the scan stops at the first survivor.
+    Survivors are re-verified with the public checks before being
+    returned, so a non-none result is sound by construction.
     """
     N = I.index
     if N_target.signature != N.signature:
         raise IndiscernibilityError("pattern and index signatures differ")
-    candidates = enumerate_embeddings(N, N_target)
-    if not candidates:
+    candidates = iter_embeddings(N, N_target)
+    first = next(candidates, None)
+    if first is None:
         raise IndiscernibilityError("the pattern does not embed in the index")
     cap = N_target.size
 
@@ -353,7 +355,7 @@ def extract_indiscernible_pattern(I: IndexedSequence, N_target: Structure,
     groups = [None] + [list(_type_groups(N_target, n).values())
                        for n in range(1, cap + 1)]
 
-    for checked, g in enumerate(candidates, start=1):
+    for checked, g in enumerate(itertools.chain([first], candidates), start=1):
         ok = True
         for n in range(1, cap + 1):
             for group in groups[n]:
@@ -370,7 +372,7 @@ def extract_indiscernible_pattern(I: IndexedSequence, N_target: Structure,
             based, _, misses = check_locally_based(J, I, delta, cap)
             assert based, f"extraction survivor not based on source: {misses[:2]}"
             return ExtractionResult(g, checked, True)
-    return ExtractionResult(None, len(candidates), False)
+    return ExtractionResult(None, checked, False)
 
 
 # -- the Ψ construction --------------------------------------------------------

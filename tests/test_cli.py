@@ -1,5 +1,7 @@
 """End-to-end command-line runs, exit codes, and certificate artifacts."""
 
+import dataclasses
+
 import pytest
 
 from ramseykit import (Coloring, FormulaSet, coloring_lines, indexed_sequence,
@@ -18,6 +20,14 @@ def write_orders(tmp_path, *sizes):
         p.write_text(serialize_structure(linear_order(n)))
         paths.append(str(p))
     return paths
+
+
+def resign(path, old, new):
+    """Replace one payload line of a certificate and re-sign it."""
+    cert = parse_certificate(path.read_text())
+    assert old in cert.payload
+    payload = tuple(new if line == old else line for line in cert.payload)
+    write_certificate(dataclasses.replace(cert, payload=payload), str(path))
 
 
 def write_parity_sequence(tmp_path):
@@ -64,6 +74,23 @@ class TestArrow:
                      "--out", "a.cert"]) == 2
         assert "budget=10" in \
             parse_certificate((tmp_path / "a.cert").read_text()).config
+
+    def test_bad_environment_budget_exits_three(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("RAMSEYKIT_BUDGET", "abc")
+        lo6, lo3, lo2 = write_orders(tmp_path, 6, 3, 2)
+        assert main(["arrow", lo6, lo3, lo2, "--colors", "2"]) == 3
+        assert "invalid int value" in capsys.readouterr().err
+        assert not (tmp_path / "arrow.cert").exists()
+
+    def test_nonpositive_budget_exits_three_before_any_work(self, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+        assert main(["arrow", lo5, lo3, lo2, "--colors", "2",
+                     "--format", "cnf", "--budget", "0", "--out", "a.cnf"]) == 3
+        assert not (tmp_path / "a.cnf").exists()
 
     def test_cnf_export_skips_the_search(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -182,6 +209,17 @@ class TestSequenceCommands:
         assert cert.payload_value("embedding") == "0,2,4"
         assert main(["verify", "x.cert"]) == 0
 
+    @pytest.mark.parametrize("forged", ["4,2,0", "0,0,0", "0,2,99"])
+    def test_extract_replay_rejects_a_non_embedding(self, tmp_path, monkeypatch,
+                                                    forged):
+        # order-reversing, not injective, outside the index
+        monkeypatch.chdir(tmp_path)
+        seq = write_parity_sequence(tmp_path)
+        (lo3,) = write_orders(tmp_path, 3)
+        assert main(["extract", seq, lo3, "--out", "x.cert"]) == 0
+        resign(tmp_path / "x.cert", "embedding 0,2,4", f"embedding {forged}")
+        assert main(["verify", "x.cert"]) == 1
+
     def test_extract_none(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         pentagon = graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
@@ -223,6 +261,34 @@ class TestErrorsAndVerify:
         (tmp_path / "a.cert").write_text(
             text.replace("verdict: FAILS", "verdict: HOLDS"))
         assert main(["verify", "a.cert"]) == 3
+
+    def test_orderable_phi_outside_the_class_exits_three(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        main(["generate", "linear-orders", "--upto", "3",
+              "--out-class", "lo.cls"])
+        assert main(["orderable", "lo.cls", "--out", "o.cert"]) == 0
+        row = parse_certificate((tmp_path / "o.cert").read_text()
+                                ).payload_values("phi")[0]
+        resign(tmp_path / "o.cert", f"phi {row}", "phi 9 0,1")
+        assert main(["verify", "o.cert"]) == 3
+
+    def test_unknown_copy_kind_exits_three(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+        main(["arrow", lo5, lo3, lo2, "--colors", "2", "--copies", "subset",
+              "--out", "a.cert"])
+        resign(tmp_path / "a.cert", "copies subset", "copies bogus")
+        assert main(["verify", "a.cert"]) == 3
+
+    def test_joint_counts_must_match_the_patterns(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+        assert main(["joint-arrow", lo5, lo3, lo2, "--colors", "2",
+                     "--mode", "refute", "--out", "j.cert"]) == 1
+        resign(tmp_path / "j.cert", "rs 2", "rs 2,2")
+        resign(tmp_path / "j.cert", "ds 1", "ds 1,1")
+        assert main(["verify", "j.cert"]) == 3
 
     def test_failed_replay_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

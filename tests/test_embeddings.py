@@ -1,7 +1,7 @@
 """Embeddings: preservation both ways, enumeration, automorphisms."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from ramseykit import (Embedding, EmbeddingError, Structure, automorphism_group,
                        embeds, enumerate_embeddings, first_embedding, is_rigid,
@@ -9,6 +9,25 @@ from ramseykit import (Embedding, EmbeddingError, Structure, automorphism_group,
 
 from conftest import CONST_SIG, binary_structures, functional_structures, graph
 from oracles import oracle_embeddings
+
+
+def draw_pin(data, host, pattern):
+    """No pin, or one pattern element pinned to one host element."""
+    if not data.draw(st.booleans()):
+        return None
+    return {data.draw(st.integers(0, pattern.size - 1)):
+            data.draw(st.integers(0, host.size - 1))}
+
+
+def assert_matches_oracle(host, pattern, fixed):
+    """Enumeration equals the oracle; first_embedding and embeds agree with it."""
+    got = [e.mapping for e in enumerate_embeddings(host, pattern, fixed=fixed)]
+    want = sorted(m for m in oracle_embeddings(host, pattern)
+                  if all(m[k] == v for k, v in (fixed or {}).items()))
+    assert got == want
+    first = first_embedding(host, pattern, fixed=fixed)
+    assert (first.mapping if first else None) == (got[0] if got else None)
+    assert embeds(host, pattern, fixed=fixed) == bool(got)
 
 
 class TestEmbeddingObject:
@@ -59,16 +78,15 @@ class TestEnumeration:
         assert first_embedding(pure_set(2), pure_set(3)) is None
 
     @settings(max_examples=100, deadline=None)
-    @given(binary_structures(max_size=4), binary_structures(max_size=3))
-    def test_matches_oracle(self, host, pattern):
-        got = [e.mapping for e in enumerate_embeddings(host, pattern)]
-        assert got == sorted(oracle_embeddings(host, pattern))
+    @given(binary_structures(max_size=4), binary_structures(max_size=3), st.data())
+    def test_matches_oracle(self, host, pattern, data):
+        assert_matches_oracle(host, pattern, draw_pin(data, host, pattern))
 
     @settings(max_examples=60, deadline=None)
-    @given(functional_structures(max_size=4), functional_structures(max_size=3))
-    def test_matches_oracle_with_functions(self, host, pattern):
-        got = [e.mapping for e in enumerate_embeddings(host, pattern)]
-        assert got == sorted(oracle_embeddings(host, pattern))
+    @given(functional_structures(max_size=4), functional_structures(max_size=3),
+           st.data())
+    def test_matches_oracle_with_functions(self, host, pattern, data):
+        assert_matches_oracle(host, pattern, draw_pin(data, host, pattern))
 
     @settings(max_examples=60, deadline=None)
     @given(binary_structures(max_size=4), binary_structures(max_size=3))
