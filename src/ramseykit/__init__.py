@@ -20,7 +20,8 @@ from .embeddings import (AutomorphismGroup, Embedding, EmbeddingError,
                          automorphism_group, embeds, enumerate_embeddings,
                          first_embedding, is_rigid, iter_embeddings)
 from .qftypes import (QfType, copies_of_type, enumerate_qf_copies,
-                      induced_type, qf_copies_within, qftp, type_digest)
+                      induced_type, qf_copies_within, qftp, tuples_by_type,
+                      type_digest)
 from .formulas import (And, ConstTerm, EqAtom, FormulaError, FuncTerm,
                        Implies, Not, Or, Quant, RelAtom, Var, eval_formula,
                        eval_on_tuple, eval_term, formula_arity,

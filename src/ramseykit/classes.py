@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 from .arrows import DEFAULT_BUDGET, FAILS, HOLDS, arrow_instance, check_instance, \
     subset_arrow_instance
-from .embeddings import automorphism_group, embeds, enumerate_embeddings
+from .embeddings import automorphism_group, embeds, enumerate_embeddings, \
+    iter_embeddings
 from .expansions import TypeUnionRelation, define_by_type_union
-from .qftypes import QfType, enumerate_qf_copies, qf_copies_within, qftp, type_digest
+from .qftypes import QfType, enumerate_qf_copies, qf_copies_within, qftp, \
+    tuples_by_type, type_digest
 from .structures import Signature, Structure, canonical_certificate, canonical_form, \
     generated_substructure
 
@@ -268,7 +270,7 @@ def ap_check(F: FiniteClass, config_bound: int | None = None) -> PropertyReport:
                         spans += 1
                         found = None
                         for D in F.members:
-                            for g in enumerate_embeddings(D, B):
+                            for g in iter_embeddings(D, B):
                                 pins = {f.apply(a): g.apply(e.apply(a))
                                         for a in range(A.size)}
                                 if embeds(D, C, fixed=pins):
@@ -411,16 +413,18 @@ def rigidity_scan(F: FiniteClass) -> tuple[Structure, ...]:
 class OrderabilityResult:
     """Search outcome over union-of-binary-types order definitions.
 
-    ORDERABLE carries the found type set (and per-member relations);
-    NOT-ORDERABLE carries either a symmetric-type witness (some distinct
-    pair whose type equals its own transpose can never be ordered) or the
-    record of every rejected orientation choice.
+    ORDERABLE carries the found type set and, for each type, its first
+    realizer (member position, pair) in member order and then
+    lexicographic order; NOT-ORDERABLE carries either a symmetric-type
+    witness (some distinct pair whose type equals its own transpose can
+    never be ordered) or the record of every rejected orientation choice.
     """
 
     verdict: str  # ORDERABLE | NOT-ORDERABLE | INCONCLUSIVE
     types: tuple[QfType, ...]
     witness: tuple | None
     tried: tuple[tuple, ...]
+    realizers: tuple[tuple[int, tuple[int, int]], ...] = ()
 
 
 def orderability_search(F: FiniteClass, *,
@@ -435,10 +439,10 @@ def orderability_search(F: FiniteClass, *,
     """
     realizer: dict[QfType, tuple[int, tuple[int, int]]] = {}
     for mi, M in enumerate(F.members):
-        for a in range(M.size):
-            for b in range(M.size):
-                if a != b:
-                    realizer.setdefault(qftp(M, (a, b)), (mi, (a, b)))
+        for t, group in tuples_by_type(M, 2).items():
+            a, b = group[0]
+            if a != b:
+                realizer.setdefault(t, (mi, group[0]))
     transpose = {}
     for t, (mi, (a, b)) in realizer.items():
         transpose[t] = qftp(F.members[mi], (b, a))
@@ -476,7 +480,8 @@ def orderability_search(F: FiniteClass, *,
                 violation = (M.name, tuple(bad))
                 break
         if violation is None:
-            return OrderabilityResult("ORDERABLE", tuple(phi), None, tuple(tried))
+            return OrderabilityResult("ORDERABLE", tuple(phi), None, tuple(tried),
+                                      tuple(realizer[t] for t in phi))
         tried.append((choice, *violation))
     return OrderabilityResult("NOT-ORDERABLE", (), None, tuple(tried))
 

@@ -18,9 +18,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .arrows import (DEFAULT_BUDGET, ArrowError, HOLDS, FAILS, INCONCLUSIVE,
-                     build_instance, check_instance, joint_arrow_check,
-                     ramsey_degree_upper_probe, render_cnf)
+from .arrows import (DEFAULT_BUDGET, DEFAULT_SAMPLES, ArrowError, HOLDS, FAILS,
+                     INCONCLUSIVE, build_instance, check_instance,
+                     joint_arrow_check, ramsey_degree_upper_probe, render_cnf)
 from .certificates import (Certificate, CertificateError, coloring_lines,
                            encode_key, decode_key, parse_certificate,
                            replay_certificate, write_certificate)
@@ -34,7 +34,6 @@ from .fileformat import (ParseError, parse_class_file, parse_sequence_file,
 from .formulas import FormulaError
 from .indiscernibles import (DEFAULT_ARITY_CAP, IndiscernibilityError,
                              extract_indiscernible_pattern, is_indiscernible)
-from .qftypes import qftp
 from .structures import SignatureError, StructureError
 
 _EXIT = {
@@ -214,21 +213,11 @@ def _cmd_orderable(args, command: str) -> int:
     echo = [f"verdict: {result.verdict}",
             f"orientation sets tried: {len(result.tried)}"]
     if result.verdict == "ORDERABLE":
-        for t in result.types:
-            mi, pair = _find_realizer(F, t)
-            payload.append(f"phi {mi} {encode_key(pair)}")
+        payload.extend(f"phi {mi} {encode_key(pair)}"
+                       for mi, pair in result.realizers)
         echo.append(f"defining types: {len(result.types)}")
     return _certify(args, command, "orderable", result.verdict, echo,
                     sections=(("class", serialize_class(F)),), payload=payload)
-
-
-def _find_realizer(F, t):
-    for mi, M in enumerate(F.members):
-        for a in range(M.size):
-            for b in range(M.size):
-                if a != b and qftp(M, (a, b)) == t:
-                    return mi, (a, b)
-    raise ClassError("orderability type has no realizer in the class")
 
 
 def _cmd_expansion(args, command: str) -> int:
@@ -324,7 +313,7 @@ def _common(sub, mode_choices=None, default_mode=None) -> None:
                      default=os.environ.get("RAMSEYKIT_BUDGET") or DEFAULT_BUDGET,
                      help="search node budget (env RAMSEYKIT_BUDGET)")
     sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--samples", type=int, default=200,
+    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                      help="random colorings per sampling pass")
     sub.add_argument("--out", default="", help="certificate path")
     if mode_choices:

@@ -13,10 +13,9 @@ inputs serialize identically across runs and machines.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .qftypes import QfType, qftp, type_digest
+from .qftypes import QfType, tuples_by_type, type_digest
 from .structures import Signature, Structure
 
 
@@ -51,9 +50,7 @@ def realized_types(M: Structure, k: int) -> TypePredicateTable:
         | set(M.signature.constants)
     rows = []
     for m in range(1, k + 1):
-        groups: dict[QfType, list[tuple[int, ...]]] = {}
-        for tup in itertools.product(range(M.size), repeat=m):
-            groups.setdefault(qftp(M, tup), []).append(tup)
+        groups = tuples_by_type(M, m)
         for t in sorted(groups, key=lambda t: t.sort_key()):
             length = 10
             name = f"qft{m}_{type_digest(t, length)}"
@@ -61,7 +58,7 @@ def realized_types(M: Structure, k: int) -> TypePredicateTable:
                 length += 4
                 name = f"qft{m}_{type_digest(t, length)}"
             taken.add(name)
-            rows.append((name, t, tuple(sorted(groups[t]))))
+            rows.append((name, t, groups[t]))
     return TypePredicateTable(k, tuple(rows))
 
 
@@ -103,16 +100,9 @@ def same_qftp_partition(M1: Structure, M2: Structure, k: int) -> bool:
         raise ValueError("arity bound must be positive")
     if M1.size != M2.size:
         raise ValueError("structures must share one domain")
-    for m in range(1, k + 1):
-        parts = []
-        for M in (M1, M2):
-            groups: dict[QfType, set[tuple[int, ...]]] = {}
-            for tup in itertools.product(range(M.size), repeat=m):
-                groups.setdefault(qftp(M, tup), set()).add(tup)
-            parts.append({frozenset(s) for s in groups.values()})
-        if parts[0] != parts[1]:
-            return False
-    return True
+    return all({frozenset(g) for g in tuples_by_type(M1, m).values()}
+               == {frozenset(g) for g in tuples_by_type(M2, m).values()}
+               for m in range(1, k + 1))
 
 
 @dataclass(frozen=True)
@@ -156,8 +146,8 @@ def define_by_type_union(M: Structure, types) -> TypeUnionRelation:
         phi.add(t)
 
     n = M.size
-    pairs = tuple(sorted(
-        (a, b) for a in range(n) for b in range(n) if qftp(M, (a, b)) in phi))
+    groups = tuples_by_type(M, 2)
+    pairs = tuple(sorted(p for t in phi for p in groups.get(t, ())))
     pair_set = set(pairs)
     irreflexive = all((a, a) not in pair_set for a in range(n))
     antisymmetric = all(not ((a, b) in pair_set and (b, a) in pair_set)

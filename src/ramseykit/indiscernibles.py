@@ -7,9 +7,9 @@ target tuples of equal Δ-type, for a finite formula set Δ; full-type
 comparison over a finite M is automorphism-orbit equality, offered as the
 Δ = ALL mode.
 
-Extraction recovers an indiscernible subsequence: color every index
-tuple by its Δ-type and hunt an N_target-copy inside N on which the color
-is constant within each index-type class, all classes at once.  Bounds
+Extraction recovers an indiscernible subsequence: color index tuples by
+their Δ-type and hunt an N_target-copy inside N on which the color is
+constant within each index-type class, all classes at once.  Bounds
 are everywhere explicit: index-tuple length caps default to 4, and to
 |N_target| during extraction.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .embeddings import Embedding, automorphism_group, iter_embeddings
 from .formulas import eval_on_tuple, formula_arity, parse_formula, render_formula
-from .qftypes import QfType, qftp
+from .qftypes import QfType, copies_of_type, qftp, tuples_by_type
 from .structures import Structure
 
 ALL_FORMULAS = "ALL"
@@ -143,13 +143,6 @@ def _delta_colouring(I: IndexedSequence, delta):
 # -- indiscernibility ---------------------------------------------------------
 
 
-def _type_groups(N: Structure, n: int) -> dict[QfType, list[tuple[int, ...]]]:
-    groups: dict[QfType, list[tuple[int, ...]]] = {}
-    for tup in itertools.product(range(N.size), repeat=n):
-        groups.setdefault(qftp(N, tup), []).append(tup)
-    return groups
-
-
 def is_indiscernible(I: IndexedSequence, delta,
                      cap: int = DEFAULT_ARITY_CAP) -> tuple[bool, tuple]:
     """Do equal index types force equal Δ-types, for tuple lengths <= cap?
@@ -161,7 +154,7 @@ def is_indiscernible(I: IndexedSequence, delta,
     colour = _delta_colouring(I, delta)
     violations = []
     for n in range(1, cap + 1):
-        for group in _type_groups(I.index, n).values():
+        for group in tuples_by_type(I.index, n).values():
             rep = group[0]
             want = colour(rep)
             for tup in group[1:]:
@@ -256,7 +249,7 @@ def ind_constraints(N: Structure, delta: FormulaSet,
         raise IndiscernibilityError("constraint fragments need an explicit formula set")
     out = []
     for n in range(1, cap + 1):
-        for group in _type_groups(N, n).values():
+        for group in tuples_by_type(N, n).values():
             for left in group:
                 for right in group:
                     for fi in range(len(delta)):
@@ -304,13 +297,9 @@ def finite_satisfiability_check(constraints, A, I: IndexedSequence,
         return True
 
     candidates = itertools.chain(
-        [abar],
-        (p for p in itertools.permutations(range(I.index.size), len(abar))
-         if p != abar and qftp(I.index, p) == base_type))
+        [abar], (p for p in copies_of_type(I.index, base_type) if p != abar))
     tried = 0
     for jbar in candidates:
-        if jbar != abar and qftp(I.index, jbar) != base_type:
-            continue
         tried += 1
         if satisfies(jbar):
             return FiniteSatResult(True, tuple(sorted(jbar)),
@@ -332,13 +321,13 @@ def extract_indiscernible_pattern(I: IndexedSequence, N_target: Structure,
                                   delta) -> ExtractionResult:
     """First N_target-copy in the index on which I is Δ-indiscernible.
 
-    Index tuples up to length |N_target| are colored once by Δ-type (one
-    delta_type evaluation per distinct target tuple); a
-    candidate copy survives when each of its index-type classes is
-    monochromatic (all classes jointly).  Candidates are drawn lazily in
-    lexicographic order, so the scan stops at the first survivor.
-    Survivors are re-verified with the public checks before being
-    returned, so a non-none result is sound by construction.
+    Index tuples are colored by Δ-type on first use, once each (one
+    delta_type evaluation per distinct target tuple); a candidate copy
+    survives when each of its index-type classes is monochromatic (all
+    classes jointly).  Candidates are drawn lazily in lexicographic order,
+    so the scan stops at the first survivor.  Survivors are re-verified
+    with the public checks before being returned, so a non-none result is
+    sound by construction.
     """
     N = I.index
     if N_target.signature != N.signature:
@@ -350,22 +339,22 @@ def extract_indiscernible_pattern(I: IndexedSequence, N_target: Structure,
     cap = N_target.size
 
     colour = _delta_colouring(I, delta)
-    color = {tup: colour(tup) for n in range(1, cap + 1)
-             for tup in itertools.product(range(N.size), repeat=n)}
-    groups = [None] + [list(_type_groups(N_target, n).values())
-                       for n in range(1, cap + 1)]
+    color: dict[tuple[int, ...], object] = {}
 
+    def color_of(tup):
+        got = color.get(tup)
+        if got is None:
+            got = color[tup] = colour(tup)
+        return got
+
+    classes = [group for n in range(1, cap + 1)
+               for group in tuples_by_type(N_target, n).values()]
     for checked, g in enumerate(itertools.chain([first], candidates), start=1):
-        ok = True
-        for n in range(1, cap + 1):
-            for group in groups[n]:
-                first = color[g.apply_tuple(group[0])]
-                if any(color[g.apply_tuple(t)] != first for t in group[1:]):
-                    ok = False
-                    break
-            if not ok:
+        for group in classes:
+            want = color_of(g.apply_tuple(group[0]))
+            if any(color_of(g.apply_tuple(t)) != want for t in group[1:]):
                 break
-        if ok:
+        else:
             J = reindex(I, g)
             good, violations = is_indiscernible(J, delta, cap)
             assert good, f"extraction survivor fails re-verification: {violations[:2]}"
@@ -392,14 +381,11 @@ def induced_type_union_relation(I: IndexedSequence, phi) -> tuple[QfType, ...]:
     if not ok:
         raise IndiscernibilityError(
             f"sequence is not indiscernible for the formula: {violations[0]}")
-    psi = set()
-    truth: dict[tuple[int, ...], bool] = {}
-    for tup in itertools.product(range(I.index.size), repeat=n):
-        vals = I.concat(tup)
-        holds = a <= len(vals) and eval_on_tuple(I.target, phi, vals[:a])
-        truth[tup] = holds
-        if holds:
-            psi.add(qftp(I.index, tup))
-    for tup, holds in truth.items():
-        assert (qftp(I.index, tup) in psi) == holds
+    psi = []
+    for t, group in tuples_by_type(I.index, n).items():
+        truth = {a <= len(vals) and eval_on_tuple(I.target, phi, vals[:a])
+                 for vals in map(I.concat, group)}
+        assert len(truth) == 1  # phi is constant on each index-type class
+        if truth.pop():
+            psi.append(t)
     return tuple(sorted(psi, key=lambda t: t.sort_key()))

@@ -17,21 +17,33 @@ the tuple's bare point set, and every point is pointed, so the canonical
 labeling is the first-occurrence relabeling: the certificate is written
 down directly from the relation tuples inside the point set, found through
 the structure's support index, with no canonical search.  Elsewhere the
-closure is labeled by :func:`canonical_search`; the certificates of both
-paths have the same shape.  Generated types are cached per tuple and
+induced tables on the tuple's closure are labeled by
+:func:`canonical_search`, with no substructure built; the certificates of
+both paths have the same shape.  Generated types are cached per tuple and
 interned per certificate, so equal types from one structure are one object.
+
+Every question of which tuples share a type -- the type predicates of the
+Morleyisation and the isolator, copies of a tuple, index-type classes of
+an indexed sequence, realizers of pair types -- is answered by one
+partition, :func:`tuples_by_type`: the k-tuples of a structure (repeats
+allowed) grouped by generated type, types in order of first realization
+and each group in lexicographic order.  It is built once per structure
+and arity and kept on the structure; copies of a type are its group,
+filtered to injective tuples inside an optional ground set.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
+from types import MappingProxyType
 
 from .structures import (Signature, Structure, canonical_search,
-                         generated_substructure, induced_substructure_tables,
-                         relation_rows_within, structure_tables)
+                         induced_substructure_tables, relation_rows_within,
+                         substructure_closure)
 
 
 @dataclass(frozen=True)
@@ -72,10 +84,6 @@ def type_digest(t: QfType, length: int = 10) -> str:
     return hashlib.sha256(blob).hexdigest()[:length]
 
 
-def _fast_path_ok(M: Structure) -> bool:
-    return M.is_relational and not M.signature.constants
-
-
 def _direct_cert(M: Structure, abar: tuple[int, ...]) -> tuple:
     # The first-occurrence relabeling is the canonical labeling here (see
     # the module docstring), so this equals canonical_search's certificate.
@@ -95,14 +103,13 @@ def _direct_cert(M: Structure, abar: tuple[int, ...]) -> tuple:
             tuple(map(relabel.__getitem__, abar)))
 
 
-def _closure_cert(M: Structure, abar: tuple[int, ...]) -> tuple:
-    sub, closure = generated_substructure(M, set(abar))
-    old2new = {e: i for i, e in enumerate(closure)}
+def _pointed_cert(M: Structure, points, abar: tuple[int, ...]) -> tuple:
+    # canonical search over the induced tables on a point set containing
+    # abar; on a closed point set these are the generated substructure's
+    size, rel_items, fn_items, const_items, old2new = \
+        induced_substructure_tables(M, points)
     pointing = tuple(old2new[x] for x in abar)
-    rel_items, fn_items, const_items = structure_tables(sub)
-    cert, _ = canonical_search(sub.size, rel_items, fn_items,
-                               const_items, pointing)
-    return cert
+    return canonical_search(size, rel_items, fn_items, const_items, pointing)[0]
 
 
 def qftp(M: Structure, abar) -> QfType:
@@ -128,7 +135,8 @@ def qftp(M: Structure, abar) -> QfType:
     hit = M._type_cache.get(abar)
     if hit is not None:
         return hit
-    cert = _direct_cert(M, abar) if _fast_path_ok(M) else _closure_cert(M, abar)
+    cert = (_direct_cert(M, abar) if M.signature.is_relational
+            else _pointed_cert(M, substructure_closure(M, abar), abar))
     t = M._type_intern.get(cert)
     if t is None:
         t = M._type_intern[cert] = QfType(M.signature, len(abar), cert)
@@ -147,16 +155,8 @@ def induced_type(M: Structure, abar) -> QfType:
     for x in abar:
         if not 0 <= x < M.size:
             raise ValueError(f"tuple entry {x} out of domain range")
-    hit = M._induced_cache.get(abar)
-    if hit is not None:
-        return hit
-    size, rel_items, fn_items, const_items, old2new = \
-        induced_substructure_tables(M, set(abar))
-    pointing = tuple(old2new[x] for x in abar)
-    cert, _ = canonical_search(size, rel_items, fn_items, const_items, pointing)
-    t = QfType(M.signature, len(abar), cert, kind="induced")
-    M._induced_cache[abar] = t
-    return t
+    return QfType(M.signature, len(abar), _pointed_cert(M, abar, abar),
+                  kind="induced")
 
 
 def _reference_type(M: Structure, abar) -> QfType:
@@ -194,12 +194,38 @@ def copies_of_type(M: Structure, t: QfType,
     The type may originate in a different structure over the same
     signature; certificates make the comparison meaningful.  The result
     is in lexicographic order; ``ground`` optionally restricts the
-    entries to a subset of M.
+    entries to a subset of M, and every ground entry must lie in M's
+    domain.  A type whose tuples repeat an entry has no copies.
     """
     if t.signature != M.signature:
         raise ValueError("type and structure signatures differ")
     if t.kind != "generated":
         raise ValueError("copies are enumerated for generated types only")
-    pts = range(M.size) if ground is None else sorted(set(int(g) for g in ground))
-    return [p for p in itertools.permutations(pts, t.arity)
-            if qftp(M, p) == t]
+    inside = None
+    if ground is not None:
+        inside = {int(g) for g in ground}
+        bad = sorted(g for g in inside if not 0 <= g < M.size)
+        if bad:
+            raise ValueError(f"ground entry {bad[0]} out of domain range")
+    group = tuples_by_type(M, t.arity).get(t, ())
+    if group and len(set(group[0])) < t.arity:
+        return []
+    return [p for p in group if inside is None or inside.issuperset(p)]
+
+
+def tuples_by_type(M: Structure,
+                   k: int) -> Mapping[QfType, tuple[tuple[int, ...], ...]]:
+    """The k-tuples of M, repeats allowed, grouped by generated type.
+
+    A read-only mapping from type to its realizers: types in order of
+    first realization and each group a tuple in lexicographic order (both
+    follow ``itertools.product``).  Built once per structure and arity.
+    """
+    hit = M._type_partition.get(k)
+    if hit is None:
+        groups: dict[QfType, list[tuple[int, ...]]] = {}
+        for tup in itertools.product(range(M.size), repeat=k):
+            groups.setdefault(qftp(M, tup), []).append(tup)
+        hit = M._type_partition[k] = MappingProxyType(
+            {t: tuple(g) for t, g in groups.items()})
+    return hit

@@ -105,8 +105,8 @@ class Structure:
 
     __slots__ = (
         "signature", "size", "name", "_rels", "_fns", "_consts", "_key",
-        "_hash", "_gensub_cache", "_type_cache", "_induced_cache",
-        "_type_intern", "_support_index", "_canon_cert", "_aut_cache",
+        "_hash", "_type_cache", "_type_intern", "_type_partition",
+        "_support_index", "_canon_cert", "_aut_cache",
     )
 
     def __init__(self, signature: Signature, size: int, relations=None,
@@ -171,10 +171,9 @@ class Structure:
             tuple(sorted(consts.items())),
         )
         self._hash = hash(self._key)
-        self._gensub_cache: dict = {}
         self._type_cache: dict = {}
-        self._induced_cache: dict = {}
         self._type_intern: dict = {}
+        self._type_partition: dict = {}
         self._support_index = None
         self._canon_cert = None
         self._aut_cache = None
@@ -203,10 +202,6 @@ class Structure:
 
     def constant_values(self) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(self._consts.items()))
-
-    @property
-    def is_relational(self) -> bool:
-        return not self.signature.functions
 
     # -- value semantics ---------------------------------------------------
 
@@ -285,14 +280,9 @@ def generated_substructure(M: Structure, points):
     the closure of ``points`` (under function tables and constants),
     relabeled to ``{0..k-1}`` in ascending order of the original elements,
     and ``inclusion`` maps sub elements back into ``M`` (as a mapping
-    tuple; ``inclusion[i]`` is the original element).  Results are cached
-    per point set.
+    tuple; ``inclusion[i]`` is the original element).
     """
-    key = frozenset(int(p) for p in points)
-    hit = M._gensub_cache.get(key)
-    if hit is not None:
-        return hit
-    closure = substructure_closure(M, key)
+    closure = substructure_closure(M, points)
     old2new = {e: i for i, e in enumerate(closure)}
     inside = set(closure)
     rels = {}
@@ -305,10 +295,7 @@ def generated_substructure(M: Structure, points):
                     for args, val in M._fns[sym].items()
                     if all(x in inside for x in args)}
     consts = {sym: old2new[val] for sym, val in M.constant_values()}
-    sub = Structure(M.signature, len(closure), rels, fns, consts)
-    result = (sub, closure)
-    M._gensub_cache[key] = result
-    return result
+    return Structure(M.signature, len(closure), rels, fns, consts), closure
 
 
 def induced_substructure_tables(M: Structure, points):

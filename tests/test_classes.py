@@ -1,5 +1,7 @@
 """Finite classes, their structural properties, and orderability."""
 
+import itertools
+
 import pytest
 
 from ramseykit import (GENERATORS, ClassError, FiniteClass, Structure,
@@ -175,6 +177,16 @@ class TestOrderability:
         assert res.verdict == "ORDERABLE"
         for rel in order_every_member(F, res.types):
             assert rel.is_strict_linear_order
+
+    @pytest.mark.parametrize("F", [linear_orders(4), ordered_graphs(3)])
+    def test_realizers_are_the_first_pair_of_each_type(self, F):
+        res = orderability_search(F)
+        assert len(res.realizers) == len(res.types)
+        for t, realizer in zip(res.types, res.realizers):
+            first = next((mi, p) for mi, M in enumerate(F.members)
+                         for p in itertools.product(range(M.size), repeat=2)
+                         if p[0] != p[1] and qftp(M, p) == t)
+            assert realizer == first
 
     def test_assignment_cap(self):
         res = orderability_search(ordered_graphs(3), max_assignments=1)

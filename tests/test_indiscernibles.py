@@ -14,6 +14,8 @@ from ramseykit import (ALL_FORMULAS, IndiscernibilityError, Structure,
                        induced_type_union_relation, is_indiscernible,
                        linear_order, pure_set, qftp, reindex)
 
+from ramseykit import indiscernibles
+
 from conftest import FN_SIG, GRAPH_SIG, graph
 
 EDGE = formula_set("E(x0, x1)")
@@ -191,6 +193,23 @@ class TestExtraction:
         J = reindex(I, out.embedding)
         good, _ = is_indiscernible(J, EDGE)
         assert good
+
+    def test_colours_only_the_tuples_it_needs(self, monkeypatch):
+        # the first candidate survives: its image and the re-verification
+        # touch far fewer than the 20 + 400 + 8000 index tuples up to length 3
+        calls = []
+        real = indiscernibles.delta_type
+
+        def counting(M, delta, values):
+            calls.append(values)
+            return real(M, delta, values)
+
+        monkeypatch.setattr(indiscernibles, "delta_type", counting)
+        I = indexed_sequence(linear_order(20), pure_set(20), list(range(20)))
+        out = extract_indiscernible_pattern(I, linear_order(3), formula_set("x0 = x1"))
+        assert out.embedding.mapping == (0, 1, 2)
+        assert out.candidates_checked == 1
+        assert len(calls) < 2000
 
     def test_signature_mismatch(self):
         I = identity_sequence(linear_order(3))

@@ -1,6 +1,7 @@
 """Quantifier-free types: oracle equivalence, kinds, copies, digests."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from ramseykit import (Signature, Structure, copies_of_type,
                        enumerate_qf_copies, induced_type, linear_order,
-                       pure_set, qf_copies_within, qftp, type_digest)
+                       pure_set, qf_copies_within, qftp, tuples_by_type,
+                       type_digest)
+from ramseykit import qftypes
 from ramseykit.structures import canonical_search, induced_substructure_tables
 
 from conftest import FN_SIG, binary_structures, functional_structures, graph, pointed_pairs
@@ -30,6 +33,31 @@ def mixed_arity_tuples(draw, max_size=5, max_tuple=4):
     M = Structure(MIXED_SIG, n, rels, {}, {})
     k = draw(st.integers(0, max_tuple))
     return M, tuple(draw(st.integers(0, n - 1)) for _ in range(k))
+
+
+@st.composite
+def copy_queries(draw):
+    """A host M, a source S over M's signature (relational, with a partial
+    function, or with a constant too) with a tuple src into S (entries may
+    repeat), an injective tuple abar into M, and an optional ground set."""
+    kind = draw(st.sampled_from(("relational", "functions", "constants")))
+    if kind == "relational":
+        structures = mixed_arity_tuples(max_size=4, max_tuple=0).map(lambda d: d[0])
+    else:
+        structures = functional_structures(max_size=4, constants=kind == "constants")
+    M, S = draw(structures), draw(structures)
+    src = tuple(draw(st.lists(st.integers(0, S.size - 1), max_size=3)))
+    abar = tuple(draw(st.permutations(range(M.size)))[:draw(st.integers(0, 3))])
+    ground = draw(st.none() | st.sets(st.integers(0, M.size - 1)))
+    return M, S, src, abar, ground
+
+
+def oracle_copies(S, src, M, ground=None):
+    """Injective tuples of M with the type of src in S, by a scan of all
+    permutations (lexicographic) and the brute-force type oracle."""
+    points = range(M.size) if ground is None else sorted(ground)
+    return [p for p in itertools.permutations(points, len(src))
+            if oracle_generated_qftp_equal(S, src, M, p)]
 
 
 def successor_chain(n: int) -> Structure:
@@ -186,6 +214,77 @@ class TestCopies:
         want = qftp(M, base)
         for c in enumerate_qf_copies(M, base):
             assert qftp(M, c) == want
+
+
+    @settings(max_examples=120, deadline=None)
+    @given(copy_queries())
+    def test_matches_permutation_oracle(self, data):
+        M, S, src, abar, ground = data
+        t = qftp(S, src)
+        assert copies_of_type(M, t) == oracle_copies(S, src, M)
+        assert copies_of_type(M, t, ground) == oracle_copies(S, src, M, ground)
+        if len(set(src)) < len(src):
+            assert copies_of_type(M, t) == []
+        assert enumerate_qf_copies(M, abar) == oracle_copies(M, abar, M)
+        if ground is not None:
+            assert qf_copies_within(M, abar, ground) == \
+                oracle_copies(M, abar, M, ground)
+
+    def test_each_tuple_is_typed_once_across_references(self, monkeypatch):
+        M = graph(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+        calls = Counter()
+        real = qftypes.qftp
+
+        def counting(N, abar):
+            calls[tuple(abar)] += 1
+            return real(N, abar)
+
+        monkeypatch.setattr(qftypes, "qftp", counting)
+        for abar in itertools.permutations(range(M.size), 3):
+            enumerate_qf_copies(M, abar)
+        # one partition of the 3-tuples, plus one lookup per reference
+        for tup in itertools.product(range(M.size), repeat=3):
+            assert calls[tup] == 1 + (len(set(tup)) == 3), tup
+
+    @pytest.mark.parametrize("abar, ground", [
+        ((0, 1), (1, 2, 7)),
+        ((0, 1, 2), (0, 9)),    # too few ground points to reach 9
+        ((), (5,)),
+        ((0,), (-1, 0, 1)),
+    ])
+    def test_ground_outside_the_domain_is_rejected(self, abar, ground):
+        lo = linear_order(4)
+        with pytest.raises(ValueError, match="ground entry"):
+            qf_copies_within(lo, abar, ground)
+        with pytest.raises(ValueError, match="ground entry"):
+            copies_of_type(lo, qftp(lo, abar), ground)
+
+
+class TestPartition:
+    @settings(max_examples=80, deadline=None)
+    @given(copy_queries(), st.integers(0, 3))
+    def test_groups_every_tuple_by_type(self, data, k):
+        M = data[0]
+        groups = tuples_by_type(M, k)
+        tuples = list(itertools.product(range(M.size), repeat=k))
+        assert sorted(tup for g in groups.values() for tup in g) == tuples
+        firsts = [g[0] for g in groups.values()]
+        assert firsts == sorted(firsts)  # types in order of first realization
+        for t, g in groups.items():
+            assert list(g) == sorted(g)
+            assert all(qftp(M, tup) == t for tup in g)
+
+    def test_built_once_and_read_only(self):
+        lo = linear_order(4)
+        groups = tuples_by_type(lo, 2)
+        assert tuples_by_type(lo, 2) is groups
+        assert list(groups.values()) == [
+            ((0, 0), (1, 1), (2, 2), (3, 3)),
+            ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+            ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)),
+        ]
+        with pytest.raises(TypeError):
+            groups[qftp(lo, (0, 1))] = ()
 
 
 class TestDigests:
