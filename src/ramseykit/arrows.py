@@ -11,10 +11,13 @@ need.
 Copies come in two flavors sharing one engine: embedding copies
 (binom(C, A) as injective structure maps) and subset copies (tuples in a
 host realizing a fixed quantifier-free type); :func:`build_instance`
-picks one by name.  :func:`check_instance` is the only entry to the
-search, for single arrows, degree probes and joint refutation alike, so
-every FAILS is re-verified in one place.  All results carry enough state
-to re-verify certificates without re-running any search.
+picks one by name.  Every instance, joint ones too, has one member
+rule: the members of a B-copy b are the copies b∘f, f in one list of
+position tuples (binom(B, A), or the positions of the A-copies inside
+the first subset B-copy).  :func:`check_instance` is the only entry to
+the search, so every FAILS is re-verified in one place; one seeded
+sampler draws single and joint colorings alike.  All results carry
+enough state to re-verify certificates without re-running any search.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from .embeddings import Embedding, automorphism_group, enumerate_embeddings, first_embedding
 from .formulas import eval_term, term_variables
 from .qftypes import QfType, copies_of_type, qftp
-from .structures import Structure, generated_substructure, substructure_closure
+from .structures import Structure, substructure_closure
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -108,27 +111,23 @@ class ArrowInstance:
             raise ArrowError("one member list per B-copy required")
 
 
-def _embedding_members(C: Structure, B: Structure, A: Structure, bcopies):
-    """Copy keys of binom(C,A) and the member list of each B-copy.
+def _instance(kind: str, r: int, copy_keys, bcopy_keys, inner) -> ArrowInstance:
+    """The instance whose B-copy b has the members b∘f, f in ``inner``
+    (position tuples into a B-copy key)."""
+    index = {key: i for i, key in enumerate(copy_keys)}
+    members = tuple(tuple(sorted(index[tuple(b[x] for x in f)] for f in inner))
+                    for b in bcopy_keys)
+    return ArrowInstance(kind, r, tuple(copy_keys), tuple(bcopy_keys), members)
 
-    The members of a B-copy e are the compositions e after f over
-    f in binom(B,A); composition of embeddings is an embedding, so every
-    member is an existing copy key.
-    """
-    acopies = enumerate_embeddings(C, A)
-    inner = enumerate_embeddings(B, A)
-    index = {e.mapping: i for i, e in enumerate(acopies)}
-    members = tuple(tuple(sorted(index[e.compose(f).mapping] for f in inner))
-                    for e in bcopies)
-    return tuple(e.mapping for e in acopies), members
+
+def _mappings(host: Structure, pattern: Structure) -> tuple[tuple[int, ...], ...]:
+    return tuple(e.mapping for e in enumerate_embeddings(host, pattern))
 
 
 def arrow_instance(C: Structure, B: Structure, A: Structure, r: int) -> ArrowInstance:
     """Embedding-copy instance: copies are binom(C,A), B-copies binom(C,B)."""
-    bcopies = enumerate_embeddings(C, B)
-    copy_keys, members = _embedding_members(C, B, A, bcopies)
-    return ArrowInstance("embedding", r, copy_keys,
-                         tuple(e.mapping for e in bcopies), members)
+    bcopy_keys = _mappings(C, B)
+    return _instance("embedding", r, _mappings(C, A), bcopy_keys, _mappings(B, A))
 
 
 def subset_arrow_instance(host: Structure, a_type: QfType, b_type: QfType,
@@ -136,20 +135,19 @@ def subset_arrow_instance(host: Structure, a_type: QfType, b_type: QfType,
     """Subset-copy instance: copies are tuples of ``host`` realizing a type.
 
     Types are evaluated relative to the ambient host even when ``ground``
-    restricts which elements copies may use.  The inner copies of a B-copy
-    are the A-copies supported inside its point set; tuples of equal type
-    support equally many, which the construction asserts.
+    restricts which elements copies may use.  The members of a B-copy are
+    the A-copies among its entries.  Tuples of equal generated type carry
+    sub-tuples of equal type at the same positions, so the positions of
+    the A-copies inside the first B-copy serve every B-copy.
     """
     acopies = copies_of_type(host, a_type, ground)
     bcopies = copies_of_type(host, b_type, ground)
-    members = []
-    for bt in bcopies:
-        inside = set(bt)
-        members.append(tuple(i for i, t in enumerate(acopies)
-                             if all(x in inside for x in t)))
-    counts = {len(m) for m in members}
-    assert len(counts) <= 1, "inner copy count must not depend on the B-copy"
-    return ArrowInstance("subset", r, tuple(acopies), tuple(bcopies), tuple(members))
+    inner = []
+    if bcopies:
+        pos = {x: i for i, x in enumerate(bcopies[0])}
+        inner = [tuple(pos[x] for x in t)
+                 for t in copies_of_type(host, a_type, bcopies[0])]
+    return _instance("subset", r, acopies, bcopies, inner)
 
 
 def build_instance(copies: str, C: Structure, B: Structure, A: Structure,
@@ -269,24 +267,34 @@ def _search_bad_coloring(members, ncopies: int, r: int, d: int, budget):
         undo_assign(depth, trail[depth])
 
 
+def _first_good_bcopy(nb: int, members, caps, colors) -> int | None:
+    """Index of the first of ``nb`` B-copies whose members show at most
+    ``caps[p]`` colors under ``colors[p]`` for every part p, or None."""
+    parts = range(len(members))
+    for bi in range(nb):
+        if all(len({colors[p][ci] for ci in members[p][bi]}) <= caps[p]
+               for p in parts):
+            return bi
+    return None
+
+
+def _sample_colorings(nb: int, members, sizes, rs, caps, seed: int, samples: int):
+    """Yield ``samples`` seeded draws of one color list per part, in part
+    order (so one part draws as a single arrow), with their first good
+    B-copy or None."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        colors = [[rng.randrange(r) for _ in range(n)] for n, r in zip(sizes, rs)]
+        yield colors, _first_good_bcopy(nb, members, caps, colors)
+
+
 def _sample_bad_coloring(members, ncopies: int, r: int, d: int,
                          seed: int, samples: int):
     """Random colorings; returns (first bad coloring or None, stats)."""
-    rng = random.Random(seed)
     stats = {"samples": samples, "witnessed": 0, "bad_found": 0}
     first_bad = None
-    for _ in range(samples):
-        colors = [rng.randrange(r) for _ in range(ncopies)]
-        good = None
-        for bi, mem in enumerate(members):
-            seen = set()
-            for ci in mem:
-                seen.add(colors[ci])
-                if len(seen) > d:
-                    break
-            if len(seen) <= d:
-                good = bi
-                break
+    for (colors,), good in _sample_colorings(len(members), (members,), (ncopies,),
+                                             (r,), (d,), seed, samples):
         if good is None:
             stats["bad_found"] += 1
             if first_bad is None:
@@ -413,10 +421,9 @@ def find_monochromatic_copy(C: Structure, B: Structure, A: Structure,
     if set(coloring.keys()) != set(instance.copy_keys):
         raise ArrowError("coloring keys do not match binom(C, A)")
     per_copy = [coloring.color_of(key) for key in instance.copy_keys]
-    for bkey, mem in zip(instance.bcopy_keys, instance.members):
-        if len({per_copy[ci] for ci in mem}) <= 1:
-            return Embedding(B, C, bkey)
-    return None
+    good = _first_good_bcopy(len(instance.bcopy_keys), (instance.members,), (1,),
+                             (per_copy,))
+    return None if good is None else Embedding(B, C, instance.bcopy_keys[good])
 
 
 # -- Ramsey degrees ----------------------------------------------------------
@@ -521,38 +528,16 @@ def joint_instance(C: Structure, B: Structure, patterns, rs, ds) -> JointInstanc
         raise ArrowError("patterns, colors, and caps must have equal length")
     if any(r < 1 for r in rs) or any(d < 1 for d in ds):
         raise ArrowError("colors and caps must be positive")
-    bcopies = enumerate_embeddings(C, B)
-    pattern_copies = []
-    pattern_members = []
-    for A in patterns:
-        if first_embedding(B, A) is None:
+    bcopy_keys = _mappings(C, B)
+    parts = []
+    for A, r in zip(patterns, rs):
+        inner = _mappings(B, A)
+        if not inner:
             raise ArrowError("every pattern must embed in B")
-        copy_keys, members = _embedding_members(C, B, A, bcopies)
-        pattern_copies.append(copy_keys)
-        pattern_members.append(members)
-    return JointInstance(tuple(rs), tuple(ds),
-                         tuple(e.mapping for e in bcopies),
-                         tuple(pattern_copies), tuple(pattern_members))
-
-
-def _joint_good_bcopy(instance: JointInstance, per_pattern_colors) -> int | None:
-    """Index of the first B-copy within every pattern's degree cap, or None."""
-    np = len(instance.rs)
-    for bi in range(len(instance.bcopy_keys)):
-        ok = True
-        for p in range(np):
-            seen = set()
-            cap = instance.ds[p]
-            for ci in instance.pattern_members[p][bi]:
-                seen.add(per_pattern_colors[p][ci])
-                if len(seen) > cap:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return bi
-    return None
+        parts.append(_instance("embedding", r, _mappings(C, A), bcopy_keys, inner))
+    return JointInstance(tuple(rs), tuple(ds), bcopy_keys,
+                         tuple(p.copy_keys for p in parts),
+                         tuple(p.members for p in parts))
 
 
 def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
@@ -583,7 +568,8 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
             Coloring(rs[p], tuple(zip(instance.pattern_copies[p],
                                       per_pattern_colors[p])))
             for p in range(len(patterns)))
-        assert _joint_good_bcopy(instance, per_pattern_colors) is None
+        assert _first_good_bcopy(nb, instance.pattern_members, ds,
+                                 per_pattern_colors) is None
         return JointArrowResult(FAILS, mode, seed, tuple(sorted(stats.items())),
                                 None, colorings, instance)
 
@@ -608,14 +594,12 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
             return JointArrowResult(HOLDS, mode, seed, tuple(sorted(stats.items())),
                                     None, None, instance)
 
-    rng = random.Random(seed)
     stats["samples"] = samples
     stats["witnessed"] = 0
     first_witness = None
-    for _ in range(samples):
-        per_pattern = [[rng.randrange(rs[p]) for _ in instance.pattern_copies[p]]
-                       for p in range(len(patterns))]
-        good = _joint_good_bcopy(instance, per_pattern)
+    for per_pattern, good in _sample_colorings(
+            nb, instance.pattern_members, [len(pc) for pc in instance.pattern_copies],
+            rs, ds, seed, samples):
         if good is None:
             return fails(per_pattern)
         stats["witnessed"] += 1
@@ -814,14 +798,13 @@ def promote_arrow_witness(C: Structure, A: Structure, b_prime, B: Structure, *,
     if precheck.verdict != HOLDS:
         raise ArrowError(f"point-set arrow not verified: {precheck.verdict}")
 
-    promoted, _ = generated_substructure(C, range(C.size))
-    assert promoted.size == C.size  # finite structures are already closed
+    # a finite structure is closed, so the structure C generates is C
     b_type = qftp(B, tuple(range(B.size)))
-    recheck = check_instance(subset_arrow_instance(promoted, a_type, b_type, 2),
+    recheck = check_instance(subset_arrow_instance(C, a_type, b_type, 2),
                              "refute", seed=seed, budget=budget, samples=samples)
     if recheck.verdict == FAILS:
         raise ArrowError("promoted arrow refuted; promotion preconditions understate")
-    return PromotionResult(promoted, precheck, recheck)
+    return PromotionResult(C, precheck, recheck)
 
 
 # -- external checking -------------------------------------------------------

@@ -261,7 +261,9 @@ def _replay_joint(cert: Certificate, report: ReplayReport) -> None:
             coloring = decode_coloring(rs[p], cert.payload_values(f"color{p}"))
             per_pattern.append([coloring.color_of(key)
                                 for key in instance.pattern_copies[p]])
-        good = arrows._joint_good_bcopy(instance, per_pattern)
+        good = arrows._first_good_bcopy(len(instance.bcopy_keys),
+                                        instance.pattern_members, instance.ds,
+                                        per_pattern)
         if good is None:
             report.add("joint refutation re-verified: no target copy is "
                        "monochromatic for all patterns at once")

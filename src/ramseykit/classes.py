@@ -13,6 +13,7 @@ the report records.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -135,14 +136,13 @@ def graphs(n: int) -> FiniteClass:
         for bits in range(2 ** len(vertex_pairs)):
             edges = {p for i, p in enumerate(vertex_pairs) if bits >> i & 1}
             sym = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
-            G = Structure(GRAPH_SIGNATURE, size, {"E": sym})
+            G = Structure(GRAPH_SIGNATURE, size, {"E": sym},
+                          name=f"g{size}_{len(members)}")
             cert = canonical_certificate(G)
             if cert in seen:
                 continue
             seen.add(cert)
-            members.append(canonical_form(
-                Structure(GRAPH_SIGNATURE, size, {"E": sym},
-                          name=f"g{size}_{len(members)}")))
+            members.append(canonical_form(G))
     return FiniteClass(GRAPH_SIGNATURE, tuple(members), n, f"graphs<={n}",
                        open_window=True)
 
@@ -299,15 +299,37 @@ def ap_check(F: FiniteClass, config_bound: int | None = None) -> PropertyReport:
 # -- Ramsey properties --------------------------------------------------------
 
 
-def _scan_arrow_witness(instances, budget):
-    """(witness index or None, per-candidate verdicts, saw INCONCLUSIVE)."""
-    verdicts = []
-    for i, inst in enumerate(instances):
-        res = check_instance(inst, "decide", budget=budget)
-        verdicts.append(res.verdict)
-        if res.verdict == HOLDS:
-            return i, verdicts, False
-    return None, verdicts, INCONCLUSIVE in verdicts
+def _scan_witnesses(questions, candidates, budget):
+    """Rows and verdict shared by the ERP and f-ERP scans.
+
+    Each question is ``(head, build)``: its row prefix and the builder of
+    its arrow instance over one candidate.  Its witness is the first
+    candidate whose arrow is decided to hold, and its row is ``head +
+    (witness name or None, per-candidate verdicts)``.  A question without
+    a witness is refuted unless some candidate ran out of budget.  Returns
+    ``(verdict, rows, index of the first refuted question or None)``: FAIL
+    if a question is refuted, else INCONCLUSIVE if a candidate ran out of
+    budget, else PASS.
+    """
+    rows = []
+    refuted = None
+    saw_budget = False
+    for qi, (head, build) in enumerate(questions):
+        verdicts = []
+        witness = None
+        for C in candidates:
+            verdicts.append(check_instance(build(C), "decide", budget=budget).verdict)
+            if verdicts[-1] == HOLDS:
+                witness = C.name
+                break
+        rows.append(head + (witness, tuple(verdicts)))
+        if witness is None:
+            if INCONCLUSIVE in verdicts:
+                saw_budget = True
+            elif refuted is None:
+                refuted = qi
+    verdict = FAIL if refuted is not None else INCONCLUSIVE if saw_budget else PASS
+    return verdict, tuple(rows), refuted
 
 
 def erp_check(F: FiniteClass, pair_bound: int, witness_bound: int, *,
@@ -324,35 +346,21 @@ def erp_check(F: FiniteClass, pair_bound: int, witness_bound: int, *,
         raise ClassError("pair bound excludes every member")
     if witness_bound < pair_bound:
         raise ClassError("witness bound below pair bound leaves pairs unwitnessable")
-    candidates = F.members_upto(witness_bound)
-    rows = []
-    saw_budget = False
-    refuted_pair = None
-    for B in F.members_upto(pair_bound):
-        for A in F.members_upto(B.size):
-            if not embeds(B, A):
-                continue
-            wi, verdicts, starved = _scan_arrow_witness(
-                (arrow_instance(C, B, A, 2) for C in candidates), budget)
-            witness = candidates[wi].name if wi is not None else None
-            rows.append((A.name, B.name, witness, tuple(verdicts)))
-            saw_budget = saw_budget or starved
-            if witness is None and not starved and refuted_pair is None:
-                refuted_pair = (A, B)
+    pairs = [(A, B) for B in F.members_upto(pair_bound)
+             for A in F.members_upto(B.size) if embeds(B, A)]
+    verdict, rows, refuted = _scan_witnesses(
+        (((A.name, B.name), functools.partial(arrow_instance, B=B, A=A, r=2))
+         for A, B in pairs),
+        F.members_upto(witness_bound), budget)
     notes = ()
-    if refuted_pair is not None:
-        verdict = FAIL
-        A = refuted_pair[0]
+    if refuted is not None:
+        A = pairs[refuted][0]
         aut = len(automorphism_group(A))
         if aut > 1:
             notes = (f"|Aut({A.name})| = {aut} > 1 obstructs two-coloring",)
-    elif any(r[2] is None for r in rows) or saw_budget:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS
     return PropertyReport("ERP", verdict, (("pair_bound", pair_bound),
                                            ("witness_bound", witness_bound)),
-                          tuple(rows), notes)
+                          rows, notes)
 
 
 def f_erp_check(F: FiniteClass, pair_bound: int, witness_bound: int, *,
@@ -376,29 +384,16 @@ def f_erp_check(F: FiniteClass, pair_bound: int, witness_bound: int, *,
                         key = qftp(M, bbar + abar)
                         if key not in seen:
                             seen[key] = (M, bbar, abar)
-    candidates = F.members_upto(witness_bound)
-    rows = []
-    saw_budget = False
-    refuted = False
-    for key in sorted(seen, key=lambda t: t.sort_key()):
-        M, bbar, abar = seen[key]
-        a_type, b_type = qftp(M, abar), qftp(M, bbar)
-        wi, verdicts, starved = _scan_arrow_witness(
-            (subset_arrow_instance(C, a_type, b_type, 2) for C in candidates),
-            budget)
-        witness = candidates[wi].name if wi is not None else None
-        rows.append((M.name, bbar, abar, witness, tuple(verdicts)))
-        saw_budget = saw_budget or starved
-        refuted = refuted or (witness is None and not starved)
-    if refuted:
-        verdict = FAIL
-    elif any(r[3] is None for r in rows) or saw_budget:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS
+    questions = (((M.name, bbar, abar),
+                  functools.partial(subset_arrow_instance, a_type=qftp(M, abar),
+                                    b_type=qftp(M, bbar), r=2))
+                 for M, bbar, abar in (seen[key] for key in
+                                       sorted(seen, key=lambda t: t.sort_key())))
+    verdict, rows, _ = _scan_witnesses(questions, F.members_upto(witness_bound),
+                                       budget)
     return PropertyReport("f-ERP", verdict, (("pair_bound", pair_bound),
                                              ("witness_bound", witness_bound)),
-                          tuple(rows))
+                          rows)
 
 
 def rigidity_scan(F: FiniteClass) -> tuple[Structure, ...]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .arrows import (DEFAULT_BUDGET, DEFAULT_SAMPLES, ArrowError, HOLDS, FAILS,
                      INCONCLUSIVE, build_instance, check_instance,
@@ -49,25 +48,6 @@ _INPUT_ERRORS = (ParseError, StructureError, SignatureError, ArrowError,
                  CertificateError, OSError, ValueError)
 
 
-@dataclass(frozen=True)
-class WorkbenchConfig:
-    """Everything that influences a run besides the input files."""
-
-    budget: int
-    seed: int
-    mode: str = ""
-    k: int | None = None
-    out: str = ""
-
-    def render(self) -> str:
-        parts = [f"budget={self.budget}", f"seed={self.seed}"]
-        if self.mode:
-            parts.append(f"mode={self.mode}")
-        if self.k is not None:
-            parts.append(f"k={self.k}")
-        return " ".join(parts)
-
-
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -82,9 +62,12 @@ def _certify(args, command: str, kind: str, verdict: str, echo, *,
              k: int | None = None, stats=(), notes=(), sections=(),
              payload=()) -> int:
     """Write the run's certificate, print the echo lines, give the exit code."""
-    config = WorkbenchConfig(args.budget, args.seed,
-                             mode=getattr(args, "mode", ""), k=k)
-    cert = Certificate(kind=kind, command=command, config=config.render(),
+    config = [f"budget={args.budget}", f"seed={args.seed}"]
+    if getattr(args, "mode", ""):
+        config.append(f"mode={args.mode}")
+    if k is not None:
+        config.append(f"k={k}")
+    cert = Certificate(kind=kind, command=command, config=" ".join(config),
                        verdict=verdict, stats=stats, notes=notes,
                        sections=tuple(sections), payload=tuple(payload))
     out = args.out or f"{kind}.cert"
@@ -313,8 +296,6 @@ def _common(sub, mode_choices=None, default_mode=None) -> None:
                      default=os.environ.get("RAMSEYKIT_BUDGET") or DEFAULT_BUDGET,
                      help="search node budget (env RAMSEYKIT_BUDGET)")
     sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                     help="random colorings per sampling pass")
     sub.add_argument("--out", default="", help="certificate path")
     if mode_choices:
         sub.add_argument("--mode", choices=mode_choices, default=default_mode)
@@ -338,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="embedding")
     p.add_argument("--format", choices=("text", "cnf"), default="text",
                    help="cnf: export the instance instead of solving")
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                   help="random colorings per sampling pass")
     _common(p, ("decide", "refute", "sample"), "decide")
 
     p = subs.add_parser("joint-arrow", help="simultaneous arrows, one ground")
@@ -348,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated color counts, one per pattern")
     p.add_argument("--degrees", default="",
                    help="comma-separated caps, one per pattern")
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                   help="random colorings per sampling pass")
     _common(p, ("sample", "refute"), "sample")
 
     p = subs.add_parser("degree", help="probe Ramsey degree witnesses")

@@ -283,19 +283,11 @@ def generated_substructure(M: Structure, points):
     tuple; ``inclusion[i]`` is the original element).
     """
     closure = substructure_closure(M, points)
-    old2new = {e: i for i, e in enumerate(closure)}
-    inside = set(closure)
-    rels = {}
-    for sym, _ in M.signature.relations:
-        rels[sym] = [tuple(old2new[x] for x in t)
-                     for t in M._rels[sym] if all(x in inside for x in t)]
-    fns = {}
-    for sym, _ in M.signature.functions:
-        fns[sym] = {tuple(old2new[x] for x in args): old2new[val]
-                    for args, val in M._fns[sym].items()
-                    if all(x in inside for x in args)}
-    consts = {sym: old2new[val] for sym, val in M.constant_values()}
-    return Structure(M.signature, len(closure), rels, fns, consts), closure
+    # on a closed set the induced tables lose no function entry or constant
+    size, rel_items, fn_items, const_items, _ = induced_substructure_tables(M, closure)
+    return Structure(M.signature, size, dict(rel_items),
+                     {sym: dict(entries) for sym, entries in fn_items},
+                     dict(const_items)), closure
 
 
 def induced_substructure_tables(M: Structure, points):

@@ -156,3 +156,10 @@ def oracle_arrow_holds(C: Structure, B: Structure, A: Structure, r: int,
         if not any(len({colors[ci] for ci in mem}) <= d for mem in members):
             return False
     return True
+
+
+def oracle_subset_members(acopies, bcopies):
+    """Member lists by containment: for each B-copy, the indices of the
+    A-copies whose entries all lie among its entries."""
+    return tuple(tuple(i for i, t in enumerate(acopies) if set(t) <= set(bt))
+                 for bt in bcopies)

@@ -9,21 +9,42 @@ from hypothesis import strategies as st
 from ramseykit import (FAILS, HOLDS, INCONCLUSIVE, ArrowError, Coloring,
                        Embedding, Structure, TermColoringError, arrow_check,
                        arrow_instance, build_joint_witness, check_instance,
-                       coloring_refutes, find_monochromatic_copy,
+                       coloring_refutes, copies_of_type, find_monochromatic_copy,
                        joint_arrow_check, joint_instance, linear_order,
                        parse_term, promote_arrow_witness, pure_set, qftp,
                        ramsey_degree_lower, ramsey_degree_upper_probe,
                        render_cnf, subset_arrow_instance,
                        term_iteration_coloring)
 
-from conftest import FN_SIG, graph
-from oracles import oracle_arrow_holds
+from conftest import (FN_SIG, binary_structures, functional_structures,
+                      graph)
+from oracles import oracle_arrow_holds, oracle_subset_members
 
 
 def successor_chain(n):
     return Structure(FN_SIG, n, {"E": set()},
                      {"s": {(i,): i + 1 for i in range(n - 1)}}, {},
                      name=f"chain{n}")
+
+
+@st.composite
+def subset_queries(draw):
+    """A host, the types of a tuple b̄ (arity 0-3, injective) and of a tuple
+    ā over b̄'s entries (entries may repeat) in a source over the host's
+    signature (relational, with a partial function, or with a constant
+    too), and an optional ground set."""
+    kind = draw(st.sampled_from(("relational", "functions", "constants")))
+    if kind == "relational":
+        structures = binary_structures(max_size=4)
+    else:
+        structures = functional_structures(max_size=4,
+                                           constants=kind == "constants")
+    host = draw(structures)
+    src = draw(st.just(host) | structures)
+    bbar = tuple(draw(st.permutations(range(src.size)))[:draw(st.integers(0, 3))])
+    abar = tuple(draw(st.lists(st.sampled_from(bbar), max_size=3))) if bbar else ()
+    ground = draw(st.none() | st.sets(st.integers(0, host.size - 1)))
+    return host, qftp(src, abar), qftp(src, bbar), ground
 
 
 class TestInstances:
@@ -60,6 +81,41 @@ class TestInstances:
     def test_color_count_validated(self):
         with pytest.raises(ArrowError):
             arrow_check(linear_order(3), linear_order(2), linear_order(1), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(subset_queries())
+    def test_subset_members_are_the_contained_copies(self, query):
+        host, a_type, b_type, ground = query
+        inst = subset_arrow_instance(host, a_type, b_type, 2, ground)
+        assert inst.copy_keys == tuple(copies_of_type(host, a_type, ground))
+        assert inst.bcopy_keys == tuple(copies_of_type(host, b_type, ground))
+        assert inst.members == oracle_subset_members(inst.copy_keys,
+                                                     inst.bcopy_keys)
+
+    def test_subset_members_across_re_enumerations(self):
+        # B-copies of a pure set re-enumerate their points, so the copies
+        # at the same positions come in a different order in each
+        P4 = pure_set(4)
+        inst = subset_arrow_instance(P4, qftp(P4, (0, 1)), qftp(P4, (0, 1, 2)), 2)
+        assert inst.members == oracle_subset_members(inst.copy_keys,
+                                                     inst.bcopy_keys)
+
+    def test_subset_instance_without_bcopies(self):
+        lo = linear_order(2)
+        inst = subset_arrow_instance(lo, qftp(lo, (0,)),
+                                     qftp(linear_order(3), (0, 1, 2)), 2)
+        assert inst.copy_keys == ((0,), (1,))
+        assert inst.bcopy_keys == () and inst.members == ()
+
+    def test_arity_zero_types(self):
+        # the empty tuple is the one copy of the empty type, inside every
+        # B-copy, and an empty B-type has the one B-copy ()
+        lo = linear_order(3)
+        inst = subset_arrow_instance(lo, qftp(lo, ()), qftp(lo, (0, 1)), 2)
+        assert inst.copy_keys == ((),)
+        assert inst.members == ((0,),) * 3
+        inst = subset_arrow_instance(lo, qftp(lo, (0,)), qftp(lo, ()), 2)
+        assert inst.bcopy_keys == ((),) and inst.members == ((),)
 
 
 class TestColoring:
@@ -122,6 +178,16 @@ class TestVerdicts:
                                         linear_order(2), col)
         assert isinstance(found, Embedding)
         assert found.is_valid()
+
+    def test_copy_without_inner_copies_is_monochromatic(self):
+        # an edge does not embed in a non-edge, so the first non-edge of
+        # the path 0-1-2 is found whatever the edges are colored
+        path = graph(3, [(0, 1), (1, 2)])
+        edge, non_edge = graph(2, [(0, 1)]), graph(2, [])
+        keys = arrow_instance(path, non_edge, edge, 2).copy_keys
+        col = Coloring(2, tuple((k, i % 2) for i, k in enumerate(keys)))
+        found = find_monochromatic_copy(path, non_edge, edge, col)
+        assert found.mapping == (0, 2)
 
 
 class TestOracleAgreement:
@@ -258,6 +324,23 @@ class TestJointArrows:
         with pytest.raises(ArrowError):
             joint_instance(linear_order(4), linear_order(2),
                            [linear_order(3)], (2,), (1,))
+
+    def test_one_pattern_joint_sample_draws_the_single_arrow_coloring(self):
+        C, B, A = linear_order(4), linear_order(3), linear_order(2)
+        for seed in range(5):
+            joint = joint_arrow_check(C, B, [A], rs=[2], mode="sample",
+                                      seed=seed, samples=50)
+            single = check_instance(arrow_instance(C, B, A, 2), "sample",
+                                    seed=seed, samples=50)
+            assert joint.verdict == single.verdict == FAILS
+            assert joint.colorings == (single.coloring,)
+
+    def test_zero_patterns_witness_the_first_bcopy(self):
+        res = joint_arrow_check(linear_order(4), linear_order(2), [], rs=[],
+                                ds=[], mode="sample", samples=30)
+        assert res.verdict == INCONCLUSIVE
+        assert dict(res.stats)["witnessed"] == 30
+        assert res.witness_key == res.instance.bcopy_keys[0] == (0, 1)
 
     def test_unknown_joint_mode(self):
         with pytest.raises(ArrowError):

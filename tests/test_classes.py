@@ -139,6 +139,11 @@ class TestEmbeddingRamsey:
         report = erp_check(linear_orders(6), 3, 6, budget=5)
         assert report.verdict == "INCONCLUSIVE"
 
+    def test_subset_budget_starvation_is_inconclusive(self):
+        report = f_erp_check(linear_orders(6), 3, 6, budget=5)
+        assert report.verdict == "INCONCLUSIVE"
+        assert any(row[3] is None for row in report.rows)
+
     def test_bound_validation(self):
         with pytest.raises(ClassError):
             erp_check(linear_orders(3), 0, 3)

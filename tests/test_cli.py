@@ -133,6 +133,16 @@ class TestJointAndDegree:
         assert cert.has_section("witness")
         assert main(["verify", "d.cert"]) == 0
 
+    def test_samples_is_only_an_arrow_option(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        lo3, lo2 = write_orders(tmp_path, 3, 2)
+        assert main(["degree", lo2, lo3, "--degree", "1", "--candidates",
+                     "linear-orders", "--upto", "3", "--samples", "5"]) == 3
+        assert main(["joint-arrow", lo3, lo2, lo2, "--colors", "2",
+                     "--samples", "5", "--out", "j.cert"]) == 2
+        assert "stats: samples=5 witnessed=5" in capsys.readouterr().out
+
 
 class TestClassCommands:
     def test_generate_writes_class_file(self, tmp_path, monkeypatch):
