@@ -4,16 +4,26 @@ An embedding is an injective map on domains that preserves *and reflects*
 every relation atom, maps every defined function value to an equal defined
 value (definedness is preserved forward, never reflected), and matches
 constants.  There is one search, the generator :func:`iter_embeddings`;
-it tries element images in ascending order, so embeddings come out sorted
-by mapping tuple with no sort afterwards.  ``enumerate_embeddings``,
-``first_embedding`` and ``embeds`` only consume it.
+it assigns pattern positions in order 0..n-1 and tries images in
+ascending order, so embeddings come out sorted by mapping tuple with no
+sort afterwards.  ``enumerate_embeddings``, ``first_embedding`` and
+``embeds`` only consume it.
+
+Each call first compiles a plan: for every pattern position e, the
+pattern relation atoms over positions 0..e that contain e, each with its
+truth value and the host table it is looked up in, and the function
+entries whose largest element is e.  Assigning e then checks exactly
+that list, the atoms whose truth the new image decides, and nothing that
+an earlier position already checked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .structures import SignatureMismatch, Structure
 
@@ -100,6 +110,45 @@ class Embedding:
         return True
 
 
+def _keyed(rows, arity: int) -> frozenset:
+    """A host table in the shape ``itemgetter(*positions)`` reads off the
+    assignment list: bare images for one position, tuples for more."""
+    return frozenset(t[0] for t in rows) if arity == 1 else frozenset(rows)
+
+
+@functools.lru_cache(maxsize=64)
+def _atoms_by_last(n: int, ar: int) -> tuple[tuple[tuple, ...], ...]:
+    """The ``ar``-tuples over ``0..n-1`` grouped by largest entry, each
+    with its key reader."""
+    groups: list[list[tuple]] = [[] for _ in range(n)]
+    for t in itertools.product(range(n), repeat=ar):
+        groups[max(t)].append((t, itemgetter(*t)))
+    return tuple(map(tuple, groups))
+
+
+def _compile(host: Structure, pattern: Structure) -> list[list[tuple]]:
+    """The per-position plan of one search, described in the module
+    docstring: ``plan[e]`` lists ``(key, table, truth)`` checks.
+
+    A function entry is the atom ``args + (value,)``, which must lie on
+    the graph of the host function: a function has one value per
+    argument tuple, so graph membership is equality of values.
+    """
+    n = pattern.size
+    plan: list[list[tuple]] = [[] for _ in range(n)]
+    for sym, ar in pattern.signature.relations:
+        table = _keyed(host._rels[sym], ar)
+        held = pattern._rels[sym]
+        for checks, atoms in zip(plan, _atoms_by_last(n, ar)):
+            checks.extend((key, table, t in held) for t, key in atoms)
+    for sym, ar in pattern.signature.functions:
+        graph = _keyed((args + (val,) for args, val in host._fns[sym].items()), ar + 1)
+        for args, val in pattern.fn_entries(sym):
+            atom = args + (val,)
+            plan[max(atom)].append((itemgetter(*atom), graph, True))
+    return plan
+
+
 def iter_embeddings(host: Structure, pattern: Structure,
                     fixed: dict[int, int] | None = None) -> Iterator[Embedding]:
     """Embeddings of ``pattern`` into ``host``, lazily, by mapping tuple.
@@ -113,6 +162,8 @@ def iter_embeddings(host: Structure, pattern: Structure,
         raise SignatureMismatch("pattern and host signatures differ")
     n = pattern.size
     sig = pattern.signature
+    if n > host.size:
+        return iter(())
 
     pre: dict[int, int] = {}
     for sym in sig.constants:
@@ -125,48 +176,27 @@ def iter_embeddings(host: Structure, pattern: Structure,
     if len(set(pre.values())) != len(pre):
         return iter(())
 
-    rel_syms = sig.relations
-    fn_syms = [(sym, pattern.fn_entries(sym)) for sym, _ in sig.functions]
+    plan = _compile(host, pattern)
     assign = [-1] * n
     used = [False] * host.size
-
-    def consistent(e: int, img: int) -> bool:
-        assigned = [x for x in range(n) if assign[x] >= 0 or x == e]
-
-        def img_of(x: int) -> int:
-            return img if x == e else assign[x]
-
-        for sym, ar in rel_syms:
-            for t in itertools.product(assigned, repeat=ar):
-                if e not in t:
-                    continue
-                mapped = tuple(img_of(x) for x in t)
-                if pattern.holds(sym, t) != host.holds(sym, mapped):
-                    return False
-        for sym, entries in fn_syms:
-            for args, val in entries:
-                scope = set(args) | {val}
-                if e not in scope:
-                    continue
-                if any(assign[x] < 0 and x != e for x in scope):
-                    continue
-                if host.fn_value(sym, tuple(img_of(x) for x in args)) != img_of(val):
-                    return False
-        return True
 
     def rec(e: int) -> Iterator[Embedding]:
         if e == n:
             yield Embedding(pattern, host, tuple(assign))
             return
+        checks = plan[e]
         candidates = [pre[e]] if e in pre else range(host.size)
         for img in candidates:
-            if used[img] or not consistent(e, img):
+            if used[img]:
                 continue
             assign[e] = img
-            used[img] = True
-            yield from rec(e + 1)
-            assign[e] = -1
-            used[img] = False
+            for key, table, truth in checks:
+                if (key(assign) in table) is not truth:
+                    break
+            else:
+                used[img] = True
+                yield from rec(e + 1)
+                used[img] = False
 
     return rec(0)
 

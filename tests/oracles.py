@@ -7,7 +7,7 @@ structures of at most 5 or 6 elements.
 
 import itertools
 
-from ramseykit import Structure, substructure_closure
+from ramseykit import PropertyReport, Structure, substructure_closure
 
 
 def oracle_is_embedding(pattern: Structure, host: Structure, mapping) -> bool:
@@ -163,3 +163,68 @@ def oracle_subset_members(acopies, bcopies):
     A-copies whose entries all lie among its entries."""
     return tuple(tuple(i for i, t in enumerate(acopies) if set(t) <= set(bt))
                  for bt in bcopies)
+
+
+def oracle_jep_report(F) -> PropertyReport:
+    """The pairwise JEP scan: for each member pair (A, B), the first member
+    that hosts both, asked afresh for every pair."""
+    rows = []
+    for i, A in enumerate(F.members):
+        for B in F.members[i:]:
+            witness = next((C.name for C in F.members
+                            if oracle_embeddings(C, A) and oracle_embeddings(C, B)),
+                           None)
+            rows.append((A.name, B.name, witness))
+    unwitnessed = sum(row[2] is None for row in rows)
+    verdict = "PASS" if not unwitnessed else \
+        "INCONCLUSIVE" if F.open_window else "FAIL"
+    notes = ("missing witnesses may lie beyond the class bound",) \
+        if unwitnessed and F.open_window else ()
+    return PropertyReport("JEP", verdict, (("members", len(F.members)),
+                                           ("size_bound", F.bound)), tuple(rows), notes)
+
+
+def oracle_ap_report(F, config_bound=None) -> PropertyReport:
+    """The per-span AP scan: every span B <-e- A -f-> C over the members up
+    to the bound gets its own search for the first member D with
+    embeddings g of B and h of C such that g after e equals h after f."""
+    cap = config_bound if config_bound is not None else F.bound
+    small = F.members_upto(cap)
+    embeddings = {}
+
+    def embs(host, pattern):
+        if (host, pattern) not in embeddings:
+            embeddings[host, pattern] = oracle_embeddings(host, pattern)
+        return embeddings[host, pattern]
+
+    def first_amalgam(B, C, e, f):
+        for D in F.members:
+            glued = {tuple(h[x] for x in f) for h in embs(D, C)}
+            if any(tuple(g[x] for x in e) in glued for g in embs(D, B)):
+                return D.name
+        return None
+
+    spans = 0
+    failures = []
+    rows = []
+    for A in small:
+        for B in small:
+            for C in small:
+                for e in embs(B, A):
+                    for f in embs(C, A):
+                        spans += 1
+                        found = first_amalgam(B, C, e, f)
+                        if found is None:
+                            failures.append((A.name, B.name, C.name, e, f))
+                        elif len(rows) < 50:
+                            rows.append((A.name, B.name, C.name, e, f, found))
+    if not failures:
+        verdict = "PASS"
+    else:
+        verdict = "INCONCLUSIVE" if F.open_window else "FAIL"
+        rows = failures[:10]
+    notes = (f"{spans} spans checked",)
+    if failures and F.open_window:
+        notes += ("missing amalgams may lie beyond the class bound",)
+    return PropertyReport("AP", verdict, (("config_bound", cap),
+                                          ("size_bound", F.bound)), tuple(rows), notes)

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseykit import (GENERATORS, ClassError, FiniteClass, Structure,
                        ap_check, elf_minimize, erp_check, f_erp_check,
@@ -10,8 +11,10 @@ from ramseykit import (GENERATORS, ClassError, FiniteClass, Structure,
                        linear_order, linear_orders, order_every_member,
                        orderability_search, ordered_graphs, pure_set,
                        pure_sets, qftp, rigidity_scan)
+from ramseykit import classes
 
-from conftest import FN_SIG, graph
+from conftest import FN_SIG, binary_structures, functional_structures, graph
+from oracles import oracle_ap_report, oracle_jep_report
 
 
 def successor_chain(n):
@@ -107,10 +110,69 @@ class TestStructuralProperties:
         open_ = finite_class([K1, I2, K2], open_window=True)
         assert ap_check(open_).verdict == "INCONCLUSIVE"
 
+    def test_amalgamation_bound_below_every_member_is_rejected(self):
+        # such a bound leaves no span, and a PASS over no spans says nothing
+        for bound in (0, -2):
+            with pytest.raises(ClassError):
+                ap_check(graphs(3), bound)
+
     def test_rigidity_scan(self):
         assert rigidity_scan(linear_orders(5)) == ()
         assert [M.size for M in rigidity_scan(pure_sets(3))] == [2, 3]
         assert len(rigidity_scan(graphs(3))) == 6
+
+
+SMALL_MEMBERS = {
+    "relational": binary_structures(max_size=4),
+    "partial-function": functional_structures(max_size=4),
+    "constant": functional_structures(max_size=4, constants=True),
+}
+
+
+class TestAgainstOracles:
+    """JEP and AP reports equal the pairwise and per-span scans exactly."""
+
+    @pytest.mark.parametrize("make", [lambda: graphs(3), lambda: linear_orders(4),
+                                      lambda: pure_sets(3), lambda: ordered_graphs(3)],
+                             ids=["graphs3", "linear_orders4", "pure_sets3",
+                                  "ordered_graphs3"])
+    def test_generator_classes(self, make):
+        F = make()
+        assert jep_check(F) == oracle_jep_report(F)
+        for bound in range(1, F.bound + 1):
+            assert ap_check(F, bound) == oracle_ap_report(F, bound)
+
+    @pytest.mark.parametrize("kind", sorted(SMALL_MEMBERS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_classes(self, kind, data):
+        members = data.draw(st.lists(SMALL_MEMBERS[kind], min_size=1, max_size=4))
+        F = finite_class(members, open_window=data.draw(st.booleans()))
+        assert jep_check(F) == oracle_jep_report(F)
+        smallest = F.members[0].size
+        bound = data.draw(st.none() | st.integers(smallest, F.bound))
+        assert ap_check(F, bound) == oracle_ap_report(F, bound)
+
+
+class TestSearchCounts:
+    def test_jep_reads_one_host_table(self, monkeypatch):
+        F = graphs(4)
+        calls = []
+        real = classes.embeds
+        monkeypatch.setattr(classes, "embeds",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        jep_check(F)
+        assert len(calls) <= len(F.members) ** 2 == 324
+
+    def test_ap_searches_once_per_orbit(self, monkeypatch):
+        F = graphs(4)
+        searches = []
+        real = classes._first_amalgam
+        monkeypatch.setattr(classes, "_first_amalgam",
+                            lambda *args: searches.append(args) or real(*args))
+        report = ap_check(F, 3)
+        assert "761 spans checked" in report.notes
+        assert len(searches) < 761
 
 
 class TestEmbeddingRamsey:

@@ -173,6 +173,14 @@ class TestClassCommands:
         assert "property ERP FAIL" in cert.payload
         assert main(["verify", "c.cert"]) == 0
 
+    def test_ap_bound_below_every_member_exits_three(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        main(["generate", "graphs", "--upto", "3", "--out-class", "g3.cls"])
+        for bound in ("0", "-2"):
+            assert main(["class-check", "g3.cls", "--ap-bound", bound,
+                         "--out", "c.cert"]) == 3
+        assert not (tmp_path / "c.cert").exists()
+
 
 class TestExpansionCommands:
     def test_expand_and_isolate(self, tmp_path, monkeypatch):
