@@ -124,26 +124,40 @@ def pure_sets(n: int) -> FiniteClass:
 def graphs(n: int) -> FiniteClass:
     """All simple undirected graphs up to isomorphism, sizes 1..n.
 
-    Enumeration canonicalizes every edge set, so it is exponential in
-    binom(n,2); intended for n <= 6.  The class checks run on graphs(4)
-    (18 members) at the full bound: AP there scans 25,549 spans but
-    searches for amalgams only once per orbit, 1,762 times.
+    Edge sets of each size are walked in bit order (bit i is the i-th
+    vertex pair in lexicographic order).  The first edge set of each
+    isomorphism class in that order is canonicalised and becomes the
+    member; every relabelling of it is then marked seen, so the rest of
+    the class is skipped without a search.  Marking costs size! steps per
+    class, so the 1,044 classes of size 7 take 5.3 million.
+    The class checks run on graphs(4) (18 members) at the full bound: AP
+    there scans 25,549 spans but searches for amalgams only once per
+    orbit, 1,762 times.
     """
     if n < 1:
         raise ClassError("generator bound must be positive")
     members = []
-    seen = set()
     for size in range(1, n + 1):
         vertex_pairs = list(itertools.combinations(range(size), 2))
-        for bits in range(2 ** len(vertex_pairs)):
-            edges = {p for i, p in enumerate(vertex_pairs) if bits >> i & 1}
+        pair_bit = {p: i for i, p in enumerate(vertex_pairs)}
+        # relabelling p sends the edge at bit i to the edge at bit moved[i]
+        relabellings = [
+            [pair_bit[tuple(sorted((p[a], p[b])))] for a, b in vertex_pairs]
+            for p in itertools.permutations(range(size))]
+        seen = bytearray(2 ** len(vertex_pairs))
+        for bits in range(len(seen)):
+            if seen[bits]:
+                continue
+            on = [i for i in range(len(vertex_pairs)) if bits >> i & 1]
+            for moved in relabellings:
+                image = 0
+                for i in on:
+                    image |= 1 << moved[i]
+                seen[image] = 1
+            edges = [vertex_pairs[i] for i in on]
             sym = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
             G = Structure(GRAPH_SIGNATURE, size, {"E": sym},
                           name=f"g{size}_{len(members)}")
-            cert = canonical_certificate(G)
-            if cert in seen:
-                continue
-            seen.add(cert)
             members.append(canonical_form(G))
     return FiniteClass(GRAPH_SIGNATURE, tuple(members), n, f"graphs<={n}",
                        open_window=True)

@@ -156,12 +156,20 @@ def iter_embeddings(host: Structure, pattern: Structure,
     Element images are tried in ascending order, so mappings come out in
     lexicographic order.  ``fixed`` optionally pins pattern elements to
     host elements before the search (used by amalgamation checks).
-    Raises :class:`SignatureMismatch` at once when the signatures differ.
+    Raises :class:`SignatureMismatch` at once when the signatures differ,
+    and :class:`EmbeddingError` when a pin names an element outside the
+    pattern or an image outside the host.
     """
     if host.signature != pattern.signature:
         raise SignatureMismatch("pattern and host signatures differ")
     n = pattern.size
     sig = pattern.signature
+    pins = {int(k): int(v) for k, v in (fixed or {}).items()}
+    for k, v in pins.items():
+        if not 0 <= k < n:
+            raise EmbeddingError(f"pinned element {k} is not in the pattern")
+        if not 0 <= v < host.size:
+            raise EmbeddingError(f"pin {k} -> {v} leaves the host domain")
     if n > host.size:
         return iter(())
 
@@ -170,8 +178,8 @@ def iter_embeddings(host: Structure, pattern: Structure,
         pe, he = pattern.const(sym), host.const(sym)
         if pre.setdefault(pe, he) != he:
             return iter(())
-    for k, v in (fixed or {}).items():
-        if pre.setdefault(int(k), int(v)) != int(v):
+    for k, v in pins.items():
+        if pre.setdefault(k, v) != v:
             return iter(())
     if len(set(pre.values())) != len(pre):
         return iter(())

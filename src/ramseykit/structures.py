@@ -12,6 +12,16 @@ The canonical labeling is a self-contained backtracking search with
 iterated color refinement.  It never consults an external library and is
 deterministic: equal inputs produce byte-equal certificates, and two
 structures are isomorphic exactly when their certificates coincide.
+
+The search prunes with automorphisms, as nauty does (McKay & Piperno,
+"Practical graph isomorphism, II", 2014).  Two leaves with equal
+certificates give an automorphism; at a node, a child that a recorded
+automorphism fixing the node's individualised vertices maps onto an
+explored child is skipped, since its subtree is the image of an explored
+one and holds the same leaf certificates.  The skipped child comes later
+in the search order, so the least certificate and the first labeling
+that reaches it are those of the unpruned search.  Pure sets and other
+highly symmetric inputs cost polynomial time instead of n! leaves.
 """
 
 from __future__ import annotations
@@ -323,8 +333,7 @@ def _dense_ranks(keys) -> list[int]:
     return [order[k] for k in keys]
 
 
-def canonical_search(size, rel_items, fn_items, const_items, pointing=(),
-                     node_budget: int = 500_000):
+def canonical_search(size, rel_items, fn_items, const_items, pointing=()):
     """Canonically label raw structure tables, optionally pointed by a tuple.
 
     ``rel_items``/``fn_items`` must list *every* symbol of the signature in
@@ -332,8 +341,10 @@ def canonical_search(size, rel_items, fn_items, const_items, pointing=(),
     comparable.  Returns ``(certificate, labeling)`` where ``labeling`` maps
     old element ids to canonical ids and the certificate is a nested tuple
     of relabeled tables plus the relabeled pointing.  The certificate is
-    invariant under relabeling of the input: the minimum over a complete
-    backtracking search guided by color refinement.
+    invariant under relabeling of the input: the minimum over a
+    backtracking search guided by color refinement, with the subtrees
+    that a found automorphism maps onto explored ones left out (see the
+    module docstring).
     """
     pointing = tuple(pointing)
     if size == 0:
@@ -392,30 +403,56 @@ def canonical_search(size, rel_items, fn_items, const_items, pointing=(),
         const_sec = tuple(sorted((sym, perm[e]) for sym, e in const_items))
         return (size, rel_sec, fn_sec, const_sec, tuple(perm[e] for e in pointing))
 
-    best: list = [None, None]
-    nodes = [0]
+    first = best = None  # (certificate, labeling) of the first and the least leaf
+    automorphisms: list[tuple[int, ...]] = []
 
-    def rec(colors: list[int]) -> None:
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            raise StructureError("canonical labeling node budget exceeded")
+    def explored_orbit(e: int, explored: list[int], path: list[int]) -> bool:
+        # Is e the image of an explored child under the recorded
+        # automorphisms that fix every individualised vertex of the path?
+        gens = [g for g in automorphisms if all(g[v] == v for v in path)]
+        orbit, frontier = {e}, [e]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = g[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        return not orbit.isdisjoint(explored)
+
+    def rec(colors: list[int], path: list[int]) -> None:
+        nonlocal first, best
         colors = refine(colors)
         if len(set(colors)) == size:
-            cert = build_cert(colors)
-            if best[0] is None or cert < best[0]:
-                best[0], best[1] = cert, tuple(colors)
+            leaf = (build_cert(colors), tuple(colors))
+            # Equal certificates: other_lab^-1 ∘ lab maps the structure onto
+            # itself.  The best leaf is the first or has a smaller
+            # certificate, so at most one of the two matches.
+            for other in (first, best):
+                if other is not None and other[0] == leaf[0]:
+                    inv = {c: x for x, c in enumerate(other[1])}
+                    automorphisms.append(tuple(inv[c] for c in leaf[1]))
+                    break
+            if first is None:
+                first = leaf
+            if best is None or leaf[0] < best[0]:
+                best = leaf
             return
         counts: dict[int, int] = {}
         for c in colors:
             counts[c] = counts.get(c, 0) + 1
         target = min(c for c, k in counts.items() if k > 1)
         cell = [e for e in range(size) if colors[e] == target]
+        explored: list[int] = []
         for e in cell:
+            if explored and explored_orbit(e, explored, path):
+                continue
+            explored.append(e)
             keys = [(colors[x], 0 if x == e else 1) for x in range(size)]
-            rec(_dense_ranks(keys))
+            rec(_dense_ranks(keys), path + [e])
 
-    rec(list(colors0))
-    return best[0], best[1]
+    rec(list(colors0), [])
+    return best
 
 
 def structure_tables(M: Structure):

@@ -10,6 +10,7 @@ GRAPH_SIG = Signature((("E", 2),), (), ())
 TWO_REL_SIG = Signature((("E", 2), ("F", 2)), (), ())
 FN_SIG = Signature((("E", 2),), (("s", 1),), ())
 CONST_SIG = Signature((("E", 2),), (("s", 1),), ("e",))
+MIXED_SIG = Signature((("P", 1), ("R", 2), ("T", 3)), (), ())
 
 
 def graph(n, edges, name=""):
@@ -55,3 +56,17 @@ def pointed_pairs(draw, max_size=4, max_tuple=3, structures=None):
     t1 = tuple(draw(st.integers(0, M1.size - 1)) for _ in range(k))
     t2 = tuple(draw(st.integers(0, M2.size - 1)) for _ in range(k))
     return M1, t1, M2, t2
+
+
+@st.composite
+def mixed_arity_tuples(draw, max_size=5, max_tuple=4):
+    """A relational constant-free structure with arities 1-3, and a tuple
+    into it (possibly empty, entries may repeat)."""
+    n = draw(st.integers(1, max_size))
+    rels = {}
+    for sym, ar in MIXED_SIG.relations:
+        rows = list(itertools.product(range(n), repeat=ar))
+        rels[sym] = draw(st.sets(st.sampled_from(rows), max_size=12))
+    M = Structure(MIXED_SIG, n, rels, {}, {})
+    k = draw(st.integers(0, max_tuple))
+    return M, tuple(draw(st.integers(0, n - 1)) for _ in range(k))

@@ -1,13 +1,17 @@
 """Brute-force reference implementations used to pin expected test values.
 
 Everything here trades efficiency for obviousness: exhaustive loops over
-all maps or all colorings, no pruning, no canonicalization.  Intended for
-structures of at most 5 or 6 elements.
+all maps or all colorings, no pruning.  The canonical labeling reference
+is the individualisation-refinement search without automorphism pruning,
+which expands every leaf.  Intended for structures of at most 5 or 6
+elements.
 """
 
 import itertools
 
-from ramseykit import PropertyReport, Structure, substructure_closure
+from ramseykit import (PropertyReport, Structure, canonical_certificate,
+                       canonical_form, substructure_closure)
+from ramseykit.classes import GRAPH_SIGNATURE
 
 
 def oracle_is_embedding(pattern: Structure, host: Structure, mapping) -> bool:
@@ -228,3 +232,111 @@ def oracle_ap_report(F, config_bound=None) -> PropertyReport:
         notes += ("missing amalgams may lie beyond the class bound",)
     return PropertyReport("AP", verdict, (("config_bound", cap),
                                           ("size_bound", F.bound)), tuple(rows), notes)
+
+
+def _dense_ranks(keys) -> list[int]:
+    order = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [order[k] for k in keys]
+
+
+def oracle_canonical_search(size, rel_items, fn_items, const_items, pointing=()):
+    """The canonical search with no automorphism pruning.
+
+    Same refinement, target cell, child order and leaf certificate as
+    ``structures.canonical_search``, but every child of every node is
+    expanded.  Returns the least leaf certificate and the first labeling
+    (in search order) that reaches it.
+    """
+    pointing = tuple(pointing)
+    if size == 0:
+        cert = (0, tuple((n, ()) for n, _ in rel_items),
+                tuple((n, ()) for n, _ in fn_items), (), pointing)
+        return cert, ()
+
+    incidence: list[list] = [[] for _ in range(size)]
+    for si, (_, tuples) in enumerate(rel_items):
+        for t in tuples:
+            ent = (0, si, t)
+            for e in set(t):
+                incidence[e].append(ent)
+    for si, (_, entries) in enumerate(fn_items):
+        for args, val in entries:
+            ent = (1, si, args + (val,))
+            for e in set(args) | {val}:
+                incidence[e].append(ent)
+
+    pos_of: list[list[int]] = [[] for _ in range(size)]
+    for i, e in enumerate(pointing):
+        pos_of[e].append(i)
+    const_at: list[list[str]] = [[] for _ in range(size)]
+    for sym, e in const_items:
+        const_at[e].append(sym)
+
+    init_keys = []
+    for e in range(size):
+        profile = sorted((kind, si, j)
+                         for kind, si, t in incidence[e]
+                         for j, x in enumerate(t) if x == e)
+        init_keys.append((tuple(pos_of[e]), tuple(const_at[e]), tuple(profile)))
+
+    def refine(colors):
+        while True:
+            keys = []
+            for e in range(size):
+                sigs = sorted((kind, si, tuple(colors[x] for x in t),
+                               tuple(j for j, x in enumerate(t) if x == e))
+                              for kind, si, t in incidence[e])
+                keys.append((colors[e], tuple(sigs)))
+            new = _dense_ranks(keys)
+            if new == colors:
+                return colors
+            colors = new
+
+    def build_cert(perm):
+        rel_sec = tuple(
+            (name, tuple(sorted(tuple(perm[x] for x in t) for t in tuples)))
+            for name, tuples in rel_items)
+        fn_sec = tuple(
+            (name, tuple(sorted((tuple(perm[x] for x in args), perm[val])
+                                for args, val in entries)))
+            for name, entries in fn_items)
+        const_sec = tuple(sorted((sym, perm[e]) for sym, e in const_items))
+        return (size, rel_sec, fn_sec, const_sec, tuple(perm[e] for e in pointing))
+
+    best = [None, None]
+
+    def rec(colors):
+        colors = refine(colors)
+        if len(set(colors)) == size:
+            cert = build_cert(colors)
+            if best[0] is None or cert < best[0]:
+                best[0], best[1] = cert, tuple(colors)
+            return
+        counts: dict[int, int] = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = min(c for c, k in counts.items() if k > 1)
+        for e in [e for e in range(size) if colors[e] == target]:
+            rec(_dense_ranks([(colors[x], 0 if x == e else 1) for x in range(size)]))
+
+    rec(_dense_ranks(init_keys))
+    return best[0], best[1]
+
+
+def oracle_graphs(n: int) -> list[Structure]:
+    """Graphs of sizes 1..n up to isomorphism: every edge set in bit order
+    is canonicalised and kept when its certificate is new."""
+    members = []
+    seen = set()
+    for size in range(1, n + 1):
+        vertex_pairs = list(itertools.combinations(range(size), 2))
+        for bits in range(2 ** len(vertex_pairs)):
+            edges = {p for i, p in enumerate(vertex_pairs) if bits >> i & 1}
+            sym = edges | {(b, a) for a, b in edges}
+            G = Structure(GRAPH_SIGNATURE, size, {"E": sym},
+                          name=f"g{size}_{len(members)}")
+            cert = canonical_certificate(G)
+            if cert not in seen:
+                seen.add(cert)
+                members.append(canonical_form(G))
+    return members

@@ -14,7 +14,7 @@ from ramseykit import (GENERATORS, ClassError, FiniteClass, Structure,
 from ramseykit import classes
 
 from conftest import FN_SIG, binary_structures, functional_structures, graph
-from oracles import oracle_ap_report, oracle_jep_report
+from oracles import oracle_ap_report, oracle_graphs, oracle_jep_report
 
 
 def successor_chain(n):
@@ -64,6 +64,18 @@ class TestGenerators:
         assert len(graphs(4).members) == 18
         # a linear order rigidifies, so 2^binom(n,2) per size
         assert len(ordered_graphs(3).members) == 1 + 2 + 8
+
+    def test_graph_counts_per_size(self):
+        # OEIS A000088: graphs on k unlabelled vertices
+        sizes = [M.size for M in graphs(6).members]
+        assert [sizes.count(k) for k in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_graphs_match_all_edge_sets_loop(self, n):
+        expected = oracle_graphs(n)
+        got = graphs(n).members
+        assert [(M.name, M._key) for M in got] == \
+            [(M.name, M._key) for M in expected]
 
     def test_generated_classes_are_open(self):
         for name, gen in GENERATORS.items():

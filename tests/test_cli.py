@@ -152,6 +152,14 @@ class TestClassCommands:
         assert main(["verify", "g.cert"]) == 0
         assert "class linear-orders" in (tmp_path / "lo.cls").read_text()
 
+    def test_generate_large_pure_sets(self, tmp_path, monkeypatch):
+        # pure sets are the most symmetric input of canonical labeling
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "pure-sets", "--upto", "12",
+                     "--out-class", "ps.cls", "--out", "g.cert"]) == 0
+        assert main(["verify", "g.cert"]) == 0
+        assert "class pure-sets" in (tmp_path / "ps.cls").read_text()
+
     def test_orderable_verdicts(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         main(["generate", "linear-orders", "--upto", "4",

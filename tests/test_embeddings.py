@@ -74,6 +74,16 @@ class TestEnumeration:
             linear_order(4), linear_order(2), fixed=pins)]
         assert maps == [(2, 3)]
 
+    @pytest.mark.parametrize("pins", [{0: -1}, {0: 5}, {0: 2}, {-1: 0}, {1: 0}],
+                             ids=["negative-image", "image-past-host",
+                                  "image-at-host-size", "negative-element",
+                                  "element-past-pattern"])
+    def test_pin_outside_domains_rejected(self, pins):
+        with pytest.raises(EmbeddingError):
+            first_embedding(pure_set(2), pure_set(1), fixed=pins)
+        with pytest.raises(EmbeddingError):
+            enumerate_embeddings(pure_set(2), pure_set(1), fixed=pins)
+
     def test_first_embedding_none(self):
         assert first_embedding(pure_set(2), pure_set(3)) is None
 

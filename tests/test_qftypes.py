@@ -7,32 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseykit import (Signature, Structure, copies_of_type,
+from ramseykit import (Structure, copies_of_type,
                        enumerate_qf_copies, induced_type, linear_order,
                        pure_set, qf_copies_within, qftp, tuples_by_type,
                        type_digest)
 from ramseykit import qftypes
 from ramseykit.structures import canonical_search, induced_substructure_tables
 
-from conftest import FN_SIG, binary_structures, functional_structures, graph, pointed_pairs
+from conftest import (FN_SIG, MIXED_SIG, binary_structures, functional_structures,
+                      graph, mixed_arity_tuples, pointed_pairs)
 from oracles import oracle_generated_qftp_equal, oracle_induced_qftp_equal
-
-
-MIXED_SIG = Signature((("P", 1), ("R", 2), ("T", 3)), (), ())
-
-
-@st.composite
-def mixed_arity_tuples(draw, max_size=5, max_tuple=4):
-    """A relational constant-free structure with arities 1-3, and a tuple
-    into it (possibly empty, entries may repeat)."""
-    n = draw(st.integers(1, max_size))
-    rels = {}
-    for sym, ar in MIXED_SIG.relations:
-        rows = list(itertools.product(range(n), repeat=ar))
-        rels[sym] = draw(st.sets(st.sampled_from(rows), max_size=12))
-    M = Structure(MIXED_SIG, n, rels, {}, {})
-    k = draw(st.integers(0, max_tuple))
-    return M, tuple(draw(st.integers(0, n - 1)) for _ in range(k))
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Structures: validation, closure, canonical labeling, isomorphism."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,11 @@ from ramseykit import (Signature, SignatureError, SignatureMismatch,
                        Structure, StructureError, canonical_certificate,
                        canonical_form, generated_substructure, is_isomorphic,
                        linear_order, pure_set, substructure_closure)
+from ramseykit.structures import canonical_search, structure_tables
 
-from conftest import FN_SIG, binary_structures, functional_structures, graph
-from oracles import oracle_isomorphic
+from conftest import (CONST_SIG, FN_SIG, binary_structures,
+                      functional_structures, graph, mixed_arity_tuples)
+from oracles import oracle_canonical_search, oracle_isomorphic
 
 
 def successor_chain(n: int, defined_upto: int) -> Structure:
@@ -130,3 +134,94 @@ class TestIsomorphism:
     @given(binary_structures(max_size=4), binary_structures(max_size=4))
     def test_matches_oracle(self, M1, M2):
         assert is_isomorphic(M1, M2) == oracle_isomorphic(M1, M2)
+
+
+@st.composite
+def searched_inputs(draw):
+    """A relational, partial-function or constant structure and a pointing
+    (empty for an unpointed search; entries may repeat)."""
+    M = draw(st.one_of(mixed_arity_tuples(max_size=6, max_tuple=0).map(lambda d: d[0]),
+                       binary_structures(max_size=6),
+                       functional_structures(max_size=6),
+                       functional_structures(max_size=6, constants=True)))
+    pointing = tuple(draw(st.lists(st.integers(0, M.size - 1), max_size=3))) \
+        if M.size else ()
+    return M, pointing
+
+
+def disjoint_copies(M: Structure, k: int) -> Structure:
+    """k disjoint copies of a constant-free structure."""
+    n = M.size
+    rels = {sym: {tuple(x + i * n for x in t) for i in range(k) for t in M.rel_tuples(sym)}
+            for sym in M.signature.relation_names}
+    fns = {sym: {tuple(x + i * n for x in args): v + i * n
+                 for i in range(k) for args, v in M.fn_entries(sym)}
+           for sym in M.signature.function_names}
+    return Structure(M.signature, n * k, rels, fns, {})
+
+
+def complete_graph(n: int) -> Structure:
+    return graph(n, itertools.combinations(range(n), 2))
+
+
+def cycles(*lengths: int) -> Structure:
+    """Disjoint cycles; of unequal lengths they are all 2-regular, so colour
+    refinement leaves cells that mix non-equivalent vertices."""
+    edges, offset = [], 0
+    for m in lengths:
+        edges += [(offset + i, offset + (i + 1) % m) for i in range(m)]
+        offset += m
+    return graph(offset, edges)
+
+
+def function_cycle(n: int) -> Structure:
+    return Structure(FN_SIG, n, {}, {"s": {(i,): (i + 1) % n for i in range(n)}}, {})
+
+
+SYMMETRIC = (
+    [("pure", n, pure_set(n)) for n in range(0, 8)]
+    + [("complete", n, complete_graph(n)) for n in range(1, 7)]
+    + [("copies", f"{k}xK{m}", disjoint_copies(complete_graph(m), k))
+       for k, m in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4))]
+    + [("copies", "3xP3", disjoint_copies(graph(3, [(0, 1), (1, 2)]), 3))]
+    + [("cycles", "+".join(map(str, ls)), cycles(*ls))
+       for ls in ((4, 4), (5, 5), (3, 4), (4, 3), (3, 5), (3, 3, 4), (4, 3, 3))]
+    + [("copies", "3xs-cycle2", disjoint_copies(function_cycle(2), 3)),
+       ("copies", "2xs-cycle3", disjoint_copies(function_cycle(3), 2)),
+       ("constant", "pure+e", Structure(CONST_SIG, 6, {}, {}, {"e": 2}))]
+)
+
+
+class TestPrunedSearch:
+    """Automorphism pruning skips only subtrees that are images of explored
+    ones, so the search returns the unpruned search's certificate and the
+    same first labeling that reaches it."""
+
+    @staticmethod
+    def both(M, pointing=()):
+        tables = structure_tables(M)
+        return (canonical_search(M.size, *tables, pointing),
+                oracle_canonical_search(M.size, *tables, pointing))
+
+    @settings(max_examples=400, deadline=None)
+    @given(searched_inputs())
+    def test_matches_unpruned_search(self, data):
+        M, pointing = data
+        pruned, unpruned = self.both(M, pointing)
+        assert pruned == unpruned
+
+    @pytest.mark.parametrize("kind,label,M", SYMMETRIC,
+                             ids=[f"{k}-{l}" for k, l, _ in SYMMETRIC])
+    def test_matches_unpruned_search_on_symmetric_inputs(self, kind, label, M):
+        pointings = [()]
+        if M.size:
+            pointings += [(0,), (M.size - 1, 0), (1 % M.size, 1 % M.size)]
+        for pointing in pointings:
+            pruned, unpruned = self.both(M, pointing)
+            assert pruned == unpruned, pointing
+
+    def test_large_pure_set(self):
+        cert, labeling = canonical_search(12, (), (), (), (3, 3, 7))
+        assert cert == (12, (), (), (), (10, 10, 11))
+        assert sorted(labeling) == list(range(12))
+        assert canonical_certificate(pure_set(12)) == (12, (), (), (), ())
