@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 
 from .embeddings import Embedding, automorphism_group, enumerate_embeddings, first_embedding
@@ -93,9 +94,10 @@ class Coloring:
 class ArrowInstance:
     """The combinatorial core of one arrow query.
 
-    ``members[j]`` lists indices into ``copy_keys`` of the A-copies lying
-    inside the j-th B-copy.  Once built, everything downstream is pure
-    hypergraph coloring; ``kind`` only records where the keys came from.
+    ``members[j]`` lists the indices into ``copy_keys`` of the A-copies
+    lying inside the j-th B-copy, each once, in any order.  Once built,
+    everything downstream is pure hypergraph coloring; ``kind`` only
+    records where the keys came from.
     """
 
     kind: str  # "embedding" | "subset"
@@ -109,6 +111,12 @@ class ArrowInstance:
             raise ArrowError("number of colors must be positive")
         if len(self.members) != len(self.bcopy_keys):
             raise ArrowError("one member list per B-copy required")
+        if list(map(len, map(set, self.members))) != list(map(len, self.members)):
+            raise ArrowError("a B-copy member list repeats an index")
+        used = set().union(*self.members)
+        if used and not (0 <= min(used) and max(used) < len(self.copy_keys)):
+            raise ArrowError("a B-copy member list names a copy outside "
+                             f"0..{len(self.copy_keys) - 1}")
 
 
 def _instance(kind: str, r: int, copy_keys, bcopy_keys, inner) -> ArrowInstance:
@@ -176,95 +184,112 @@ def _search_bad_coloring(members, ncopies: int, r: int, d: int, budget):
     broken by first-use order (a fresh color may only be one past the
     largest color used so far), which is sound: badness is invariant
     under renaming colors.
+
+    Copies are colored in index order, so when copy ci gets a color every
+    copy below it has one and no copy above it has.  A B-copy that still
+    has an uncolored member can gain a color from it, so it cannot fail
+    yet; it is settled when its largest member is colored.  Coloring ci
+    can therefore only make unfixable the B-copies in ``closing[ci]``,
+    those whose largest member is ci, and the feasibility test looks at
+    no other.
+
+    Each B-copy keeps its r color counts and then its distinct count in
+    one flat list, ``r + 1`` slots from offset ``bi * (r + 1)``.
+    ``touch[ci][c]`` holds the color-c slots of the B-copies containing
+    ci, ``closing[ci]`` the distinct slots of the B-copies it closes.
     """
     stats = {"nodes": 0, "prunes": 0, "early_exit": 0}
     nb = len(members)
     if nb == 0:
         # no B-copies at all: every coloring is vacuously bad
         return [0] * ncopies, stats, False
-    totals = [len(m) for m in members]
-    if r <= d or min(totals) <= d:
+    if r <= d or min(len(m) for m in members) <= d:
         # some B-copy can never show more than d colors
         return None, stats, True
 
-    copy_to_b: list[list[int]] = [[] for _ in range(ncopies)]
+    stride = r + 1
+    offsets: list[list[int]] = [[] for _ in range(ncopies)]
+    closing: list[list[int]] = [[] for _ in range(ncopies)]
     for bi, mem in enumerate(members):
+        off = bi * stride
         for ci in mem:
-            copy_to_b[ci].append(bi)
+            offsets[ci].append(off)
+        closing[max(mem)].append(off + r)
+    touch = [[[off + c for off in offs] for c in range(r)] for offs in offsets]
 
-    counts = [[0] * r for _ in range(nb)]
-    assigned = [0] * nb
-    distinct = [0] * nb
+    cnt = [0] * (nb * stride)
     colors = [-1] * ncopies
-    safe = 0  # B-copies already past d distinct colors
-
-    def feasible(ci: int, c: int) -> bool:
-        for bi in copy_to_b[ci]:
-            if assigned[bi] + 1 == totals[bi]:
-                extra = 1 if counts[bi][c] == 0 else 0
-                if distinct[bi] + extra <= d:
-                    return False
-        return True
-
-    def do_assign(ci: int, c: int) -> None:
-        nonlocal safe
-        colors[ci] = c
-        for bi in copy_to_b[ci]:
-            if counts[bi][c] == 0:
-                distinct[bi] += 1
-                if distinct[bi] == d + 1:
-                    safe += 1
-            counts[bi][c] += 1
-            assigned[bi] += 1
-
-    def undo_assign(ci: int, c: int) -> None:
-        nonlocal safe
-        colors[ci] = -1
-        for bi in copy_to_b[ci]:
-            counts[bi][c] -= 1
-            assigned[bi] -= 1
-            if counts[bi][c] == 0:
-                if distinct[bi] == d + 1:
-                    safe -= 1
-                distinct[bi] -= 1
-
-    trail = [-1] * ncopies
     next_try = [0] * (ncopies + 1)
     saved_max = [-1] * (ncopies + 1)
+    safe = 0  # B-copies already past d distinct colors
+    nodes = prunes = 0
+    limit = sys.maxsize if budget is None else budget
+    top = r - 1
+    fresh = d + 1
     depth = 0
+    # Every B-copy is longer than d, so the copy that closes it leaves it
+    # past d colors: ``safe == nb`` holds by the time the last copy is
+    # colored, and the loop never runs past it.
     while True:
-        if depth == ncopies:
-            return list(colors), stats, False
-        advanced = False
-        cap = min(r - 1, saved_max[depth] + 1)
+        cap = saved_max[depth] + 1
+        if cap > top:
+            cap = top
         c = next_try[depth]
+        closes = closing[depth]
         while c <= cap:
-            if feasible(depth, c):
-                do_assign(depth, c)
-                stats["nodes"] += 1
-                if budget is not None and stats["nodes"] > budget:
-                    undo_assign(depth, c)
-                    return None, stats, False
-                trail[depth] = c
-                next_try[depth] = c + 1
-                if safe == nb:
-                    # every B-copy already refuted; any completion is bad
-                    stats["early_exit"] += 1
-                    out = [x if x >= 0 else 0 for x in colors]
-                    return out, stats, False
-                depth += 1
-                next_try[depth] = 0
-                saved_max[depth] = max(saved_max[depth - 1], c)
-                advanced = True
+            # infeasible iff a closed B-copy would show at most d colors
+            shift = r - c
+            for j in closes:
+                k = cnt[j]
+                if k < d or (k == d and cnt[j - shift]):
+                    break
+            else:
                 break
-            stats["prunes"] += 1
+            prunes += 1
             c += 1
-        if advanced:
+        if c > cap:
+            # no color fits here: uncolor the copy below and go on with it
+            depth -= 1
+            if depth < 0:
+                stats["nodes"], stats["prunes"] = nodes, prunes
+                return None, stats, True
+            c = colors[depth]
+            colors[depth] = -1
+            shift = r - c
+            for i in touch[depth][c]:
+                if cnt[i] == 1:
+                    cnt[i] = 0
+                    j = i + shift
+                    if cnt[j] == fresh:
+                        safe -= 1
+                    cnt[j] -= 1
+                else:
+                    cnt[i] -= 1
             continue
-        depth -= 1
-        if depth < 0:
-            return None, stats, True
-        undo_assign(depth, trail[depth])
+        colors[depth] = c
+        shift = r - c
+        for i in touch[depth][c]:
+            if cnt[i]:
+                cnt[i] += 1
+            else:
+                cnt[i] = 1
+                j = i + shift
+                cnt[j] += 1
+                if cnt[j] == fresh:
+                    safe += 1
+        nodes += 1
+        if nodes > limit:
+            stats["nodes"], stats["prunes"] = nodes, prunes
+            return None, stats, False
+        next_try[depth] = c + 1
+        if safe == nb:
+            # every B-copy already refuted; any completion is bad
+            stats["nodes"], stats["prunes"] = nodes, prunes
+            stats["early_exit"] = 1
+            return [x if x >= 0 else 0 for x in colors], stats, False
+        saved_max[depth + 1] = c if c > saved_max[depth] else saved_max[depth]
+        depth += 1
+        next_try[depth] = 0
 
 
 def _first_good_bcopy(nb: int, members, caps, colors) -> int | None:

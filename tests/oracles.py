@@ -162,6 +162,110 @@ def oracle_arrow_holds(C: Structure, B: Structure, A: Structure, r: int,
     return True
 
 
+def oracle_search_bad_coloring(members, ncopies: int, r: int, d: int, budget):
+    """Reference for ``arrows._search_bad_coloring``: the same DFS written
+    with closures, which tests every B-copy through a copy for being one
+    member short of complete.
+
+    Complete DFS for a coloring where every B-copy shows > d colors.
+
+    Returns ``(colors or None, stats, exhausted)``.  ``exhausted`` is True
+    only when the whole space was covered, so ``None, stats, True`` is a
+    proof that no bad coloring exists.  Symmetry over color names is
+    broken by first-use order (a fresh color may only be one past the
+    largest color used so far), which is sound: badness is invariant
+    under renaming colors.
+    """
+    stats = {"nodes": 0, "prunes": 0, "early_exit": 0}
+    nb = len(members)
+    if nb == 0:
+        # no B-copies at all: every coloring is vacuously bad
+        return [0] * ncopies, stats, False
+    totals = [len(m) for m in members]
+    if r <= d or min(totals) <= d:
+        # some B-copy can never show more than d colors
+        return None, stats, True
+
+    copy_to_b: list[list[int]] = [[] for _ in range(ncopies)]
+    for bi, mem in enumerate(members):
+        for ci in mem:
+            copy_to_b[ci].append(bi)
+
+    counts = [[0] * r for _ in range(nb)]
+    assigned = [0] * nb
+    distinct = [0] * nb
+    colors = [-1] * ncopies
+    safe = 0  # B-copies already past d distinct colors
+
+    def feasible(ci: int, c: int) -> bool:
+        for bi in copy_to_b[ci]:
+            if assigned[bi] + 1 == totals[bi]:
+                extra = 1 if counts[bi][c] == 0 else 0
+                if distinct[bi] + extra <= d:
+                    return False
+        return True
+
+    def do_assign(ci: int, c: int) -> None:
+        nonlocal safe
+        colors[ci] = c
+        for bi in copy_to_b[ci]:
+            if counts[bi][c] == 0:
+                distinct[bi] += 1
+                if distinct[bi] == d + 1:
+                    safe += 1
+            counts[bi][c] += 1
+            assigned[bi] += 1
+
+    def undo_assign(ci: int, c: int) -> None:
+        nonlocal safe
+        colors[ci] = -1
+        for bi in copy_to_b[ci]:
+            counts[bi][c] -= 1
+            assigned[bi] -= 1
+            if counts[bi][c] == 0:
+                if distinct[bi] == d + 1:
+                    safe -= 1
+                distinct[bi] -= 1
+
+    trail = [-1] * ncopies
+    next_try = [0] * (ncopies + 1)
+    saved_max = [-1] * (ncopies + 1)
+    depth = 0
+    while True:
+        if depth == ncopies:
+            return list(colors), stats, False
+        advanced = False
+        cap = min(r - 1, saved_max[depth] + 1)
+        c = next_try[depth]
+        while c <= cap:
+            if feasible(depth, c):
+                do_assign(depth, c)
+                stats["nodes"] += 1
+                if budget is not None and stats["nodes"] > budget:
+                    undo_assign(depth, c)
+                    return None, stats, False
+                trail[depth] = c
+                next_try[depth] = c + 1
+                if safe == nb:
+                    # every B-copy already refuted; any completion is bad
+                    stats["early_exit"] += 1
+                    out = [x if x >= 0 else 0 for x in colors]
+                    return out, stats, False
+                depth += 1
+                next_try[depth] = 0
+                saved_max[depth] = max(saved_max[depth - 1], c)
+                advanced = True
+                break
+            stats["prunes"] += 1
+            c += 1
+        if advanced:
+            continue
+        depth -= 1
+        if depth < 0:
+            return None, stats, True
+        undo_assign(depth, trail[depth])
+
+
 def oracle_subset_members(acopies, bcopies):
     """Member lists by containment: for each B-copy, the indices of the
     A-copies whose entries all lie among its entries."""

@@ -3,28 +3,59 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramseykit import (FAILS, HOLDS, INCONCLUSIVE, ArrowError, Coloring,
-                       Embedding, Structure, TermColoringError, arrow_check,
-                       arrow_instance, build_joint_witness, check_instance,
-                       coloring_refutes, copies_of_type, find_monochromatic_copy,
-                       joint_arrow_check, joint_instance, linear_order,
-                       parse_term, promote_arrow_witness, pure_set, qftp,
+from ramseykit import (FAILS, HOLDS, INCONCLUSIVE, ArrowError, ArrowInstance,
+                       Coloring, Embedding, Structure, TermColoringError,
+                       arrow_check, arrow_instance, build_joint_witness,
+                       check_instance, coloring_refutes, copies_of_type,
+                       find_monochromatic_copy, joint_arrow_check,
+                       joint_instance, linear_order, parse_term,
+                       promote_arrow_witness, pure_set, qftp,
                        ramsey_degree_lower, ramsey_degree_upper_probe,
                        render_cnf, subset_arrow_instance,
                        term_iteration_coloring)
+from ramseykit.arrows import _search_bad_coloring
 
 from conftest import (FN_SIG, binary_structures, functional_structures,
                       graph)
-from oracles import oracle_arrow_holds, oracle_subset_members
+from oracles import (oracle_arrow_holds, oracle_search_bad_coloring,
+                     oracle_subset_members)
 
 
 def successor_chain(n):
     return Structure(FN_SIG, n, {"E": set()},
                      {"s": {(i,): i + 1 for i in range(n - 1)}}, {},
                      name=f"chain{n}")
+
+
+@st.composite
+def search_inputs(draw):
+    """Arguments of the bad-coloring search: member lists of distinct copy
+    indices in any order (empty lists and no lists at all included), a
+    color count, a degree cap and a budget.
+
+    Mostly r > d and every list longer than d, so that the search runs,
+    sometimes an input it settles before searching.  Random lists rarely
+    force a monochromatic B-copy, so half the inputs take every k-set of
+    copies, which does once there are more copies than colors."""
+    ncopies = draw(st.integers(0, 9))
+    d = draw(st.integers(1, 3))
+    r = draw(st.integers(min(d + 1, 4), 4) | st.integers(1, 4))
+    shortest = min(ncopies, draw(st.sampled_from((d + 1, d + 1, d + 1, 0))))
+    if draw(st.booleans()):
+        k = max(shortest, 1)
+        members = [draw(st.permutations(m))
+                   for m in itertools.combinations(range(ncopies), k)]
+    else:
+        nb = draw(st.integers(0, 8))
+        members = draw(st.lists(
+            st.lists(st.integers(0, ncopies - 1), unique=True,
+                     min_size=shortest, max_size=max(shortest, 5))
+            if ncopies else st.just([]), min_size=nb, max_size=nb))
+    budget = draw(st.none() | st.integers(0, 40))
+    return tuple(map(tuple, members)), ncopies, r, d, budget
 
 
 @st.composite
@@ -116,6 +147,20 @@ class TestInstances:
         assert inst.members == ((0,),) * 3
         inst = subset_arrow_instance(lo, qftp(lo, (0,)), qftp(lo, ()), 2)
         assert inst.bcopy_keys == ((),) and inst.members == ((),)
+
+    def test_repeated_member_index_rejected(self):
+        # the search would never see the B-copy complete and return a
+        # coloring that does not refute
+        keys = ((0, 1), (0, 2), (1, 2))
+        with pytest.raises(ArrowError, match="repeats"):
+            ArrowInstance("embedding", 2, keys, ((0, 1, 2), (0, 1, 3)),
+                          ((0, 1, 1), (1, 2)))
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_member_index_outside_copies_rejected(self, bad):
+        keys = ((0, 1), (0, 2), (1, 2))
+        with pytest.raises(ArrowError, match="outside"):
+            ArrowInstance("embedding", 2, keys, ((0, 1, 2),), ((0, 1, bad),))
 
 
 class TestColoring:
@@ -259,6 +304,34 @@ class TestModes:
                               linear_order(1), 2)
         with pytest.raises(ArrowError):
             check_instance(inst, "guess")
+
+
+class TestSearchKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(search_inputs())
+    @example(args=((), 0, 2, 1, None))
+    @example(args=((), 3, 2, 1, 5))
+    @example(args=(((),), 2, 3, 1, None))
+    @example(args=(((0, 1), (), (2, 1)), 3, 2, 1, None))
+    @example(args=(((2, 0, 1), (1, 3, 2), (3, 0, 1)), 4, 4, 1, 0))
+    @example(args=(((2, 0, 1, 4), (1, 3, 2, 4), (3, 0, 1, 4)), 5, 4, 3, None))
+    def test_matches_reference_search(self, args):
+        assert _search_bad_coloring(*args) == oracle_search_bad_coloring(*args)
+
+    @pytest.mark.parametrize("n,r,budget,verdict,nodes,prunes,early_exit", [
+        (8, 3, None, FAILS, 29255, 58471, 1),
+        (10, 3, 10_000, INCONCLUSIVE, 10001, 19979, 0),
+        (6, 2, None, HOLDS, 493, 494, 0),
+    ])
+    def test_pinned_counts(self, n, r, budget, verdict, nodes, prunes, early_exit):
+        # LO_n -> (LO_3)^LO_2_r at benchmark scale; the counts pin the
+        # search order, so a change that reorders the search shows here
+        inst = arrow_instance(linear_order(n), linear_order(3), linear_order(2), r)
+        kw = {} if budget is None else {"budget": budget}
+        res = check_instance(inst, "decide", **kw)
+        assert res.verdict == verdict
+        assert (res.stat("nodes"), res.stat("prunes"), res.stat("early_exit")) == \
+            (nodes, prunes, early_exit)
 
 
 class TestDegrees:
