@@ -303,30 +303,22 @@ def _first_good_bcopy(nb: int, members, caps, colors) -> int | None:
     return None
 
 
-def _sample_colorings(nb: int, members, sizes, rs, caps, seed: int, samples: int):
-    """Yield ``samples`` seeded draws of one color list per part, in part
-    order (so one part draws as a single arrow), with their first good
-    B-copy or None."""
+def _sample(nb: int, members, sizes, rs, caps, seed: int, samples: int):
+    """Up to ``samples`` seeded draws of one color list per part, in part
+    order (so one part draws as a single arrow), stopping at the first
+    draw that leaves no B-copy good.  Returns that draw or None, the
+    number of draws before it, and the first good B-copy of the first
+    witnessed draw."""
     rng = random.Random(seed)
-    for _ in range(samples):
+    first_good = None
+    for drawn in range(samples):
         colors = [[rng.randrange(r) for _ in range(n)] for n, r in zip(sizes, rs)]
-        yield colors, _first_good_bcopy(nb, members, caps, colors)
-
-
-def _sample_bad_coloring(members, ncopies: int, r: int, d: int,
-                         seed: int, samples: int):
-    """Random colorings; returns (first bad coloring or None, stats)."""
-    stats = {"samples": samples, "witnessed": 0, "bad_found": 0}
-    first_bad = None
-    for (colors,), good in _sample_colorings(len(members), (members,), (ncopies,),
-                                             (r,), (d,), seed, samples):
+        good = _first_good_bcopy(nb, members, caps, colors)
         if good is None:
-            stats["bad_found"] += 1
-            if first_bad is None:
-                first_bad = colors
-        else:
-            stats["witnessed"] += 1
-    return first_bad, stats
+            return colors, drawn, first_good
+        if drawn == 0:
+            first_good = good
+    return None, samples, first_good
 
 
 def coloring_refutes(instance: ArrowInstance, coloring: Coloring, d: int = 1) -> bool:
@@ -382,46 +374,45 @@ def check_instance(instance: ArrowInstance, mode: str = "decide", *, d: int = 1,
     coloring, HOLDS if the search happens to exhaust, else INCONCLUSIVE.
     sample: sampling only; never HOLDS.
 
-    Every FAILS result is re-verified through :func:`coloring_refutes`
-    before being returned.
+    Sampling makes up to ``samples`` seeded draws, stops at the first bad
+    one and writes the stats ``samples`` and ``witnessed`` (the draws
+    before it); the search writes ``nodes``, ``prunes`` and ``early_exit``.
+    Every FAILS is re-verified through :func:`coloring_refutes`.
     """
     if mode not in ("decide", "refute", "sample"):
         raise ArrowError(f"unknown mode {mode!r}")
     if d < 1:
         raise ArrowError("degree cap must be positive")
+    if samples < 0:
+        raise ArrowError("samples must be non-negative")
     ncopies = len(instance.copy_keys)
 
-    def fails(colors, stats) -> ArrowResult:
-        coloring = _colors_to_coloring(instance, colors)
-        if not coloring_refutes(instance, coloring, d):
-            raise AssertionError("search produced a coloring that does not re-verify")
-        return ArrowResult(FAILS, mode, d, seed, budget,
+    def result(verdict, stats, colors=None) -> ArrowResult:
+        coloring = None
+        if colors is not None:
+            coloring = _colors_to_coloring(instance, colors)
+            if not coloring_refutes(instance, coloring, d):
+                raise AssertionError("search produced a coloring that does not re-verify")
+        return ArrowResult(verdict, mode, d, seed, budget,
                            tuple(sorted(stats.items())), coloring, instance)
 
-    if mode == "sample":
-        colors, stats = _sample_bad_coloring(instance.members, ncopies,
-                                             instance.r, d, seed, samples)
-        if colors is not None:
-            return fails(colors, stats)
-        return ArrowResult(INCONCLUSIVE, mode, d, seed, budget,
-                           tuple(sorted(stats.items())), None, instance)
-
-    stats: dict[str, int] = {}
-    if mode == "refute":
-        colors, sstats = _sample_bad_coloring(instance.members, ncopies,
-                                              instance.r, d, seed, samples)
-        stats.update(sstats)
-        if colors is not None:
-            return fails(colors, stats)
+    stats = {}
+    if mode != "decide":
+        drawn, stats["witnessed"], _ = _sample(
+            len(instance.members), (instance.members,), (ncopies,), (instance.r,),
+            (d,), seed, samples)
+        stats["samples"] = samples
+        if drawn is not None:
+            return result(FAILS, stats, drawn[0])
+        if mode == "sample":
+            return result(INCONCLUSIVE, stats)
 
     colors, dstats, exhausted = _search_bad_coloring(
         instance.members, ncopies, instance.r, d, budget)
     stats.update(dstats)
     if colors is not None:
-        return fails(colors, stats)
-    verdict = HOLDS if exhausted else INCONCLUSIVE
-    return ArrowResult(verdict, mode, d, seed, budget,
-                       tuple(sorted(stats.items())), None, instance)
+        return result(FAILS, stats, colors)
+    return result(HOLDS if exhausted else INCONCLUSIVE, stats)
 
 
 def arrow_check(C: Structure, B: Structure, A: Structure, r: int,
@@ -567,22 +558,26 @@ def joint_instance(C: Structure, B: Structure, patterns, rs, ds) -> JointInstanc
 
 def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
                       mode: str = "sample", *, seed: int = 0,
-                      samples: int = 500,
+                      samples: int = DEFAULT_SAMPLES,
                       budget: int | None = DEFAULT_BUDGET) -> JointArrowResult:
     """Simultaneous arrows: seek one B-copy within every pattern's cap.
 
-    sample: random coloring tuples; FAILS on the first tuple leaving no
-    B-copy good for all patterns at once, else INCONCLUSIVE.
-    refute: additionally runs the per-pattern complete search first (a
-    single pattern coloring past its cap on every B-copy refutes the joint
+    sample: up to ``samples`` seeded coloring tuples; FAILS on the first
+    leaving no B-copy good for all patterns at once, else INCONCLUSIVE
+    with the first draw's first good B-copy as ``witness_key``.  Stats:
+    ``samples``, and ``witnessed`` for the draws before the bad one.
+    refute: first runs each pattern's complete search (stat ``nodes_<p>``;
+    one pattern coloring past its cap on every B-copy refutes the joint
     statement on its own); with one pattern this collapses to the plain
-    check, so exhaustion there upgrades to HOLDS.
+    check, so exhaustion there upgrades to HOLDS; else it samples.
     """
     patterns = list(patterns)
     rs = [2] * len(patterns) if rs is None else list(rs)
     ds = [1] * len(patterns) if ds is None else list(ds)
     if mode not in ("refute", "sample"):
         raise ArrowError(f"unknown joint mode {mode!r}")
+    if samples < 0:
+        raise ArrowError("samples must be non-negative")
 
     instance = joint_instance(C, B, patterns, rs, ds)
     nb = len(instance.bcopy_keys)
@@ -619,19 +614,15 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
             return JointArrowResult(HOLDS, mode, seed, tuple(sorted(stats.items())),
                                     None, None, instance)
 
+    drawn, stats["witnessed"], good = _sample(
+        nb, instance.pattern_members, [len(pc) for pc in instance.pattern_copies],
+        rs, ds, seed, samples)
     stats["samples"] = samples
-    stats["witnessed"] = 0
-    first_witness = None
-    for per_pattern, good in _sample_colorings(
-            nb, instance.pattern_members, [len(pc) for pc in instance.pattern_copies],
-            rs, ds, seed, samples):
-        if good is None:
-            return fails(per_pattern)
-        stats["witnessed"] += 1
-        if first_witness is None:
-            first_witness = instance.bcopy_keys[good]
+    if drawn is not None:
+        return fails(drawn)
     return JointArrowResult(INCONCLUSIVE, mode, seed, tuple(sorted(stats.items())),
-                            first_witness, None, instance)
+                            None if good is None else instance.bcopy_keys[good],
+                            None, instance)
 
 
 @dataclass(frozen=True)
@@ -819,7 +810,7 @@ def promote_arrow_witness(C: Structure, A: Structure, b_prime, B: Structure, *,
 
     bp_type = qftp(B, bp)
     precheck = check_instance(subset_arrow_instance(C, a_type, bp_type, 2),
-                              "decide", seed=seed, budget=budget, samples=samples)
+                              "decide", budget=budget)
     if precheck.verdict != HOLDS:
         raise ArrowError(f"point-set arrow not verified: {precheck.verdict}")
 

@@ -339,6 +339,9 @@ def _replay_expand(cert: Certificate, report: ReplayReport) -> None:
 def _replay_indiscernible(cert: Certificate, report: ReplayReport) -> None:
     I, delta = parse_sequence_file(cert.section("sequence"))
     cap = int(cert.payload_value("cap"))
+    if cap < 1:
+        report.fail(f"cap {cap} checks no tuple length")
+        return
     ok, violations = is_indiscernible(I, delta, cap)
     verdict = "INDISCERNIBLE" if ok else "NOT-INDISCERNIBLE"
     if verdict == cert.verdict:

@@ -132,10 +132,10 @@ def graphs(n: int) -> FiniteClass:
     class, so the 1,044 classes of size 7 take 5.3 million.
     The class checks run on graphs(4) (18 members) at the full bound: AP
     there scans 25,549 spans but searches for amalgams only once per
-    orbit, 1,762 times.
+    orbit, 1,762 times.  n >= 9 is refused: its seen-table needs 2^36 bytes.
     """
-    if n < 1:
-        raise ClassError("generator bound must be positive")
+    if not 1 <= n <= 8:
+        raise ClassError("graphs are generated for bounds 1..8 only")
     members = []
     for size in range(1, n + 1):
         vertex_pairs = list(itertools.combinations(range(size), 2))

@@ -1,14 +1,15 @@
 """Command-line front end: file parsing, dispatch, and replayable artifacts.
 
 Every run (except ``verify``) writes a plain-text certificate embedding its
-inputs, configuration, seed, and verdict data; ``verify`` replays one with
-no further search.  Exit codes: 0 the property holds or a witness was
+inputs, configuration and verdict data; ``verify`` replays one with no
+further search.  Exit codes: 0 the property holds or a witness was
 found, 1 refuted with certificate, 2 inconclusive within budget, 3 input
 error.  One helper, ``_certify``, writes every certificate, prints its
-echo lines and maps the verdict to the exit code.  The node budget
-defaults to 10^7 and can be preset through the ``RAMSEYKIT_BUDGET``
-environment variable; argparse converts it, and ``main`` checks that it
-is positive once, before any subcommand runs.
+echo lines and maps the verdict to the exit code.  A subcommand declares
+``--budget`` only if it searches and ``--seed`` only if it samples;
+``config:`` records the ``--budget``, ``--seed`` and ``--mode`` it has.
+The node budget defaults to 10^7, or ``RAMSEYKIT_BUDGET``; ``main``
+checks that it is positive before the subcommand runs.
 """
 
 from __future__ import annotations
@@ -59,15 +60,11 @@ def _parse(path: str, parser):
 
 
 def _certify(args, command: str, kind: str, verdict: str, echo, *,
-             k: int | None = None, stats=(), notes=(), sections=(),
-             payload=()) -> int:
+             stats=(), notes=(), sections=(), payload=()) -> int:
     """Write the run's certificate, print the echo lines, give the exit code."""
-    config = [f"budget={args.budget}", f"seed={args.seed}"]
-    if getattr(args, "mode", ""):
-        config.append(f"mode={args.mode}")
-    if k is not None:
-        config.append(f"k={k}")
-    cert = Certificate(kind=kind, command=command, config=" ".join(config),
+    config = " ".join(f"{name}={getattr(args, name)}"
+                      for name in ("budget", "seed", "mode") if name in args)
+    cert = Certificate(kind=kind, command=command, config=config,
                        verdict=verdict, stats=stats, notes=notes,
                        sections=tuple(sections), payload=tuple(payload))
     out = args.out or f"{kind}.cert"
@@ -86,6 +83,8 @@ def _stat_line(stats) -> str:
 
 
 def _cmd_arrow(args, command: str) -> int:
+    if args.format == "cnf" and args.degree != 1:
+        raise ArrowError("--format cnf encodes --degree 1 only")
     C, B, A = (_parse(p, parse_structure_file)
                for p in (args.ground, args.target, args.pattern))
     instance = build_instance(args.copies, C, B, A, args.colors)
@@ -214,7 +213,7 @@ def _cmd_expansion(args, command: str) -> int:
         with open(args.out_structure, "w", encoding="utf-8") as fh:
             fh.write(out_text)
         echo.append(f"structure: {args.out_structure}")
-    return _certify(args, command, kind, "DONE", echo, k=k,
+    return _certify(args, command, kind, "DONE", echo,
                     sections=(("input", serialize_structure(M)),
                               ("output", out_text)),
                     payload=(f"k {k}",
@@ -222,6 +221,8 @@ def _cmd_expansion(args, command: str) -> int:
 
 
 def _cmd_indiscernible(args, command: str) -> int:
+    if args.cap < 1:
+        raise IndiscernibilityError("--cap must be at least 1")
     I, delta = _parse(args.seqfile, parse_sequence_file)
     ok, violations = is_indiscernible(I, delta, args.cap)
     verdict = "INDISCERNIBLE" if ok else "NOT-INDISCERNIBLE"
@@ -277,7 +278,7 @@ def _cmd_generate(args, command: str) -> int:
                              f"members {len(F.members)}"))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, command: str) -> int:
     cert = parse_certificate(_read(args.certfile))
     report = replay_certificate(cert)
     print(f"kind: {cert.kind}")
@@ -291,14 +292,17 @@ def _cmd_verify(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _common(sub, mode_choices=None, default_mode=None) -> None:
-    sub.add_argument("--budget", type=int,
-                     default=os.environ.get("RAMSEYKIT_BUDGET") or DEFAULT_BUDGET,
-                     help="search node budget (env RAMSEYKIT_BUDGET)")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
+def _common(sub, *, budget=False, seed=False, modes=()) -> None:
+    """``--out``, and ``--budget``, ``--seed`` and ``--mode`` where read."""
+    if budget:
+        sub.add_argument("--budget", type=int,
+                         default=os.environ.get("RAMSEYKIT_BUDGET") or DEFAULT_BUDGET,
+                         help="search node budget (env RAMSEYKIT_BUDGET)")
+    if seed:
+        sub.add_argument("--seed", type=int, default=0, help="random seed")
     sub.add_argument("--out", default="", help="certificate path")
-    if mode_choices:
-        sub.add_argument("--mode", choices=mode_choices, default=default_mode)
+    if modes:
+        sub.add_argument("--mode", choices=modes, default=modes[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cnf: export the instance instead of solving")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="random colorings per sampling pass")
-    _common(p, ("decide", "refute", "sample"), "decide")
+    _common(p, budget=True, seed=True, modes=("decide", "refute", "sample"))
 
     p = subs.add_parser("joint-arrow", help="simultaneous arrows, one ground")
     p.add_argument("ground")
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated caps, one per pattern")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="random colorings per sampling pass")
-    _common(p, ("sample", "refute"), "sample")
+    _common(p, budget=True, seed=True, modes=("sample", "refute"))
 
     p = subs.add_parser("degree", help="probe Ramsey degree witnesses")
     p.add_argument("pattern")
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-colors", type=int, default=3)
     p.add_argument("--candidates", choices=sorted(GENERATORS), required=True)
     p.add_argument("--upto", type=int, required=True)
-    _common(p)
+    _common(p, budget=True)
 
     p = subs.add_parser("class-check", help="HP / JEP / AP / Ramsey properties")
     p.add_argument("classfile")
@@ -350,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-bound", type=int, default=0,
                    help="0 means the largest member size")
     p.add_argument("--ap-bound", type=int, default=None)
-    _common(p)
+    _common(p, budget=True)
 
     p = subs.add_parser("orderable", help="search for an ordering type union")
     p.add_argument("classfile")
@@ -406,6 +410,7 @@ _HANDLERS = {
     "generate": _cmd_generate,
     "expand": _cmd_expansion,
     "isolate": _cmd_expansion,
+    "verify": _cmd_verify,
 }
 
 
@@ -418,9 +423,7 @@ def main(argv=None) -> int:
         return 3 if exc.code not in (0, None) else 0
     command = "ramseykit " + " ".join(argv)
     try:
-        if args.subcommand == "verify":
-            return _cmd_verify(args)
-        if args.budget <= 0:
+        if "budget" in args and args.budget <= 0:
             raise ArrowError("budget must be positive")
         return _HANDLERS[args.subcommand](args, command)
     except _INPUT_ERRORS as exc:

@@ -8,6 +8,7 @@ elements.
 """
 
 import itertools
+import random
 
 from ramseykit import (PropertyReport, Structure, canonical_certificate,
                        canonical_form, substructure_closure)
@@ -264,6 +265,25 @@ def oracle_search_bad_coloring(members, ncopies: int, r: int, d: int, budget):
         if depth < 0:
             return None, stats, True
         undo_assign(depth, trail[depth])
+
+
+def oracle_first_bad_draw(members, ncopies: int, r: int, d: int, seed: int,
+                          samples: int):
+    """Reference for single-arrow sampling: make all ``samples`` seeded
+    uniform draws, ``random.Random(seed).randrange(r)`` per copy in index
+    order, even past a bad one.
+
+    Returns the first draw under which every B-copy shows more than d
+    colors, or None, and the number of draws before it.
+    """
+    rng = random.Random(seed)
+    first, before = None, samples
+    for i in range(samples):
+        colors = [rng.randrange(r) for _ in range(ncopies)]
+        if first is None and all(len({colors[ci] for ci in mem}) > d
+                                 for mem in members):
+            first, before = colors, i
+    return first, before
 
 
 def oracle_subset_members(acopies, bcopies):

@@ -16,12 +16,12 @@ from ramseykit import (FAILS, HOLDS, INCONCLUSIVE, ArrowError, ArrowInstance,
                        ramsey_degree_lower, ramsey_degree_upper_probe,
                        render_cnf, subset_arrow_instance,
                        term_iteration_coloring)
-from ramseykit.arrows import _search_bad_coloring
+from ramseykit.arrows import _search_bad_coloring, build_instance
 
 from conftest import (FN_SIG, binary_structures, functional_structures,
                       graph)
-from oracles import (oracle_arrow_holds, oracle_search_bad_coloring,
-                     oracle_subset_members)
+from oracles import (oracle_arrow_holds, oracle_first_bad_draw,
+                     oracle_search_bad_coloring, oracle_subset_members)
 
 
 def successor_chain(n):
@@ -293,6 +293,46 @@ class TestModes:
         small = arrow_check(linear_order(6), linear_order(3), linear_order(2),
                             2, mode="refute", samples=20, budget=10)
         assert small.verdict == INCONCLUSIVE
+
+    @pytest.mark.parametrize("mode", ["sample", "refute"])
+    @pytest.mark.parametrize("copies,make,n,b,a,r", [
+        ("embedding", linear_order, 3, 2, 1, 3),
+        ("embedding", linear_order, 4, 2, 1, 4),
+        ("embedding", linear_order, 5, 4, 3, 2),
+        ("subset", pure_set, 4, 3, 1, 2),
+    ])
+    def test_sampling_fails_on_the_first_bad_draw(self, mode, copies, make,
+                                                  n, b, a, r):
+        inst = build_instance(copies, make(n), make(b), make(a), r)
+        for seed in range(10):
+            first, before = oracle_first_bad_draw(
+                inst.members, len(inst.copy_keys), r, 1, seed, 200)
+            assert first is not None, seed
+            res = check_instance(inst, mode, seed=seed, samples=200)
+            assert res.verdict == FAILS
+            assert res.coloring == Coloring(r, tuple(zip(inst.copy_keys, first)))
+            assert dict(res.stats) == {"samples": 200, "witnessed": before}
+
+    def test_sampling_without_a_bad_draw_witnesses_every_draw(self):
+        inst = arrow_instance(linear_order(6), linear_order(3), linear_order(2), 2)
+        res = check_instance(inst, "sample", seed=3, samples=40)
+        assert res.verdict == INCONCLUSIVE
+        assert dict(res.stats) == {"samples": 40, "witnessed": 40}
+
+    def test_negative_samples_rejected_and_zero_claims_nothing(self):
+        inst = arrow_instance(linear_order(2), linear_order(2), linear_order(1), 2)
+        for mode in ("decide", "refute", "sample"):
+            with pytest.raises(ArrowError, match="samples"):
+                check_instance(inst, mode, samples=-3)
+        with pytest.raises(ArrowError, match="samples"):
+            joint_arrow_check(linear_order(2), linear_order(2),
+                              [linear_order(1)], samples=-1)
+        res = check_instance(inst, "sample", samples=0)
+        assert res.verdict == INCONCLUSIVE and res.coloring is None
+        assert dict(res.stats) == {"samples": 0, "witnessed": 0}
+        joint = joint_arrow_check(linear_order(2), linear_order(2),
+                                  [linear_order(1)], samples=0)
+        assert joint.verdict == INCONCLUSIVE and joint.witness_key is None
 
     def test_budget_exhaustion_is_inconclusive(self):
         res = arrow_check(linear_order(6), linear_order(3), linear_order(2),

@@ -77,6 +77,16 @@ class TestGenerators:
         assert [(M.name, M._key) for M in got] == \
             [(M.name, M._key) for M in expected]
 
+    def test_graphs_refuse_nine_vertices_before_any_work(self, monkeypatch):
+        # the seen-table of size 9 alone would take 64 GiB
+        def no_work(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(classes, "canonical_form", no_work)
+        for n in (9, 0):
+            with pytest.raises(ClassError):
+                graphs(n)
+
     def test_generated_classes_are_open(self):
         for name, gen in GENERATORS.items():
             F = gen(3)

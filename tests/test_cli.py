@@ -1,14 +1,17 @@
 """End-to-end command-line runs, exit codes, and certificate artifacts."""
 
+import argparse
 import dataclasses
 
 import pytest
 
 from ramseykit import (Coloring, FormulaSet, coloring_lines, indexed_sequence,
-                       linear_order, parse_certificate, parse_formula,
-                       parse_structure_file, serialize_sequence,
-                       serialize_structure, write_certificate)
-from ramseykit.cli import main
+                       linear_order, linear_orders, parse_certificate,
+                       parse_formula, parse_structure_file, serialize_class,
+                       serialize_sequence, serialize_structure,
+                       write_certificate)
+from ramseykit import classes
+from ramseykit.cli import build_parser, main
 
 from conftest import graph
 
@@ -37,6 +40,39 @@ def write_parity_sequence(tmp_path):
     p = tmp_path / "parity.seq"
     p.write_text(serialize_sequence(I, delta))
     return str(p)
+
+
+def subparsers():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# the run settings each subcommand reads; every other one has none
+RUN_SETTINGS = {"arrow": ("budget", "seed", "mode"),
+                "joint-arrow": ("budget", "seed", "mode"),
+                "degree": ("budget",), "class-check": ("budget",)}
+
+
+def example_argv(tmp_path, subcommand):
+    """A small run of ``subcommand`` that finishes in well under a second."""
+    lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+    (tmp_path / "lo.cls").write_text(serialize_class(linear_orders(3)))
+    seq = write_parity_sequence(tmp_path)
+    return {
+        "arrow": ["arrow", lo5, lo3, lo2, "--colors", "2"],
+        "joint-arrow": ["joint-arrow", lo5, lo3, lo2, "--colors", "2"],
+        "degree": ["degree", lo2, lo3, "--degree", "1", "--max-colors", "2",
+                   "--candidates", "linear-orders", "--upto", "3"],
+        "class-check": ["class-check", "lo.cls", "--pair-bound", "2"],
+        "orderable": ["orderable", "lo.cls"],
+        "expand": ["expand", lo3, "--k", "2"],
+        "isolate": ["isolate", lo3, "--k", "1"],
+        "indiscernible": ["indiscernible", seq],
+        "extract": ["extract", seq, lo3],
+        "elf": ["elf", lo5, "--tuple", "1,3"],
+        "generate": ["generate", "linear-orders", "--upto", "3"],
+    }[subcommand]
 
 
 class TestArrow:
@@ -101,6 +137,32 @@ class TestArrow:
         assert out.startswith("c arrow instance")
         assert "p cnf 20 " in out
 
+    def test_cnf_export_refuses_a_degree_cap(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the DIMACS encoding has no degree cap yet
+        monkeypatch.chdir(tmp_path)
+        lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+        assert main(["arrow", lo5, lo3, lo2, "--colors", "3", "--degree", "2",
+                     "--format", "cnf", "--out", "a.cnf"]) == 3
+        assert "--degree 1 only" in capsys.readouterr().err
+        assert not (tmp_path / "a.cnf").exists()
+        assert main(["arrow", lo5, lo3, lo2, "--colors", "3", "--degree", "1",
+                     "--format", "cnf", "--out", "a.cnf"]) == 0
+        assert "p cnf 30 70" in (tmp_path / "a.cnf").read_text()
+
+    def test_negative_samples_exit_three(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+        assert main(["arrow", lo5, lo3, lo2, "--colors", "2", "--mode",
+                     "sample", "--samples", "-3", "--out", "a.cert"]) == 3
+        assert main(["joint-arrow", lo5, lo3, lo2, "--colors", "2",
+                     "--samples", "-3", "--out", "a.cert"]) == 3
+        assert not (tmp_path / "a.cert").exists()
+        assert main(["arrow", lo5, lo3, lo2, "--colors", "2", "--mode",
+                     "sample", "--samples", "0", "--out", "a.cert"]) == 2
+        cert = parse_certificate((tmp_path / "a.cert").read_text())
+        assert cert.stats == (("samples", 0), ("witnessed", 0))
+
     def test_same_invocation_gives_identical_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
@@ -143,6 +205,38 @@ class TestJointAndDegree:
                      "--samples", "5", "--out", "j.cert"]) == 2
         assert "stats: samples=5 witnessed=5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("subcommand", sorted(
+        name for name in subparsers() if name != "verify"))
+    def test_seed_and_budget_exist_only_where_read(self, tmp_path, monkeypatch,
+                                                   subcommand):
+        monkeypatch.chdir(tmp_path)
+        argv = example_argv(tmp_path, subcommand)
+        reads = RUN_SETTINGS.get(subcommand, ())
+        declared = {action.dest for action in subparsers()[subcommand]._actions}
+        assert tuple(name for name in ("budget", "seed", "mode")
+                     if name in declared) == reads
+        for name in ("seed", "budget"):
+            if name not in reads:
+                assert main(argv + [f"--{name}", "5", "--out", "x.cert"]) == 3
+        assert not (tmp_path / "x.cert").exists()
+        assert main(argv + ["--out", "c.cert"]) in (0, 1, 2)
+        config = parse_certificate((tmp_path / "c.cert").read_text()).config
+        assert tuple(item.partition("=")[0] for item in config.split()) == reads
+
+    def test_settable_value_count(self):
+        # --seed on 9 subcommands and --budget on 7 that never read them
+        # made 77
+        assert sum(not isinstance(action, argparse._HelpAction)
+                   for sub in subparsers().values()
+                   for action in sub._actions) == 61
+
+    def test_environment_budget_is_read_only_where_declared(self, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("RAMSEYKIT_BUDGET", "abc")
+        assert main(["generate", "linear-orders", "--upto", "3",
+                     "--out", "g.cert"]) == 0
+
 
 class TestClassCommands:
     def test_generate_writes_class_file(self, tmp_path, monkeypatch):
@@ -151,6 +245,17 @@ class TestClassCommands:
                      "--out-class", "lo.cls", "--out", "g.cert"]) == 0
         assert main(["verify", "g.cert"]) == 0
         assert "class linear-orders" in (tmp_path / "lo.cls").read_text()
+
+    def test_generate_refuses_graphs_past_eight_before_any_work(
+            self, tmp_path, monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("generation started")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(classes, "canonical_form", no_work)
+        assert main(["generate", "graphs", "--upto", "9"]) == 3
+        assert "1..8" in capsys.readouterr().err
+        assert not (tmp_path / "generate.cert").exists()
 
     def test_generate_large_pure_sets(self, tmp_path, monkeypatch):
         # pure sets are the most symmetric input of canonical labeling
@@ -224,6 +329,23 @@ class TestSequenceCommands:
         delta = FormulaSet((parse_formula("E(x0, x1)"),))
         (tmp_path / "c.seq").write_text(serialize_sequence(constant, delta))
         assert main(["indiscernible", "c.seq", "--out", "y.cert"]) == 0
+
+    def test_indiscernible_cap_below_one(self, tmp_path, monkeypatch):
+        # at cap 0 no tuple length is checked, so any sequence would pass
+        monkeypatch.chdir(tmp_path)
+        I = indexed_sequence(linear_order(4), linear_order(2), [0, 1, 0, 1])
+        delta = FormulaSet((parse_formula("<(x0, x1)"),))
+        (tmp_path / "s.seq").write_text(serialize_sequence(I, delta))
+        for cap in ("0", "-1"):
+            assert main(["indiscernible", "s.seq", "--cap", cap,
+                         "--out", "n.cert"]) == 3
+        assert not (tmp_path / "n.cert").exists()
+        assert main(["indiscernible", "s.seq", "--out", "n.cert"]) == 1
+        cert = parse_certificate((tmp_path / "n.cert").read_text())
+        forged = dataclasses.replace(cert, verdict="INDISCERNIBLE",
+                                     payload=("cap 0",))
+        write_certificate(forged, str(tmp_path / "n.cert"))
+        assert main(["verify", "n.cert"]) == 1
 
     def test_extract_found(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
