@@ -480,10 +480,13 @@ def ramsey_degree_upper_probe(A: Structure, B: Structure, candidates,
 
     Candidates are tried in the order supplied (generators should yield by
     increasing size).  When d is below |Aut(A)| no witness can exist and
-    the scan is skipped.  Colors r <= d hold trivially and are not probed.
+    the scan is skipped.  Colors r <= d hold trivially and are not probed,
+    so r_cap must exceed d.
     """
     if d < 1:
         raise ArrowError("degree cap must be positive")
+    if r_cap <= d:
+        raise ArrowError(f"colour cap {r_cap} must exceed the degree cap {d}")
     if first_embedding(B, A) is None:
         raise ArrowError("A must embed in B")
     lower = ramsey_degree_lower(A)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 from . import arrows
@@ -147,18 +146,26 @@ def parse_certificate(text: str) -> Certificate:
                        tuple(sections), payload)
 
 
-def write_certificate(cert: Certificate, path: str) -> None:
-    """Write-then-rename so readers never observe a torn file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cert-")
+def write_atomic(path: str, text: str) -> None:
+    """Write-then-rename so readers never observe a torn file.
+
+    The temporary file sits next to ``path`` and gets the mode that the
+    umask gives any new file.
+    """
+    directory, base = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{base}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(render_certificate(cert))
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_certificate(cert: Certificate, path: str) -> None:
+    write_atomic(path, render_certificate(cert))
 
 
 # -- payload helpers ------------------------------------------------------------

@@ -23,14 +23,15 @@ from .arrows import (DEFAULT_BUDGET, DEFAULT_SAMPLES, ArrowError, HOLDS, FAILS,
                      joint_arrow_check, ramsey_degree_upper_probe, render_cnf)
 from .certificates import (Certificate, CertificateError, coloring_lines,
                            encode_key, decode_key, parse_certificate,
-                           replay_certificate, write_certificate)
+                           replay_certificate, write_atomic,
+                           write_certificate)
 from .classes import (ClassError, GENERATORS, ap_check, elf_minimize,
                       erp_check, f_erp_check, hp_check, jep_check,
                       orderability_search, rigidity_scan)
 from .expansions import isolator, qf_type_morleyisation
 from .fileformat import (ParseError, parse_class_file, parse_sequence_file,
                          parse_structure_file, serialize_class,
-                         serialize_structure)
+                         serialize_sequence, serialize_structure)
 from .formulas import FormulaError
 from .indiscernibles import (DEFAULT_ARITY_CAP, IndiscernibilityError,
                              extract_indiscernible_pattern, is_indiscernible)
@@ -91,8 +92,7 @@ def _cmd_arrow(args, command: str) -> int:
     if args.format == "cnf":
         text = render_cnf(instance)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write_atomic(args.out, text)
             print(f"cnf: {args.out}")
         else:
             sys.stdout.write(text)
@@ -210,8 +210,7 @@ def _cmd_expansion(args, command: str) -> int:
     out_text = serialize_structure(out, name=(M.name or "M") + f"_{kind}")
     echo = [f"k: {k}", f"output relations: {len(out.signature.relations)}"]
     if args.out_structure:
-        with open(args.out_structure, "w", encoding="utf-8") as fh:
-            fh.write(out_text)
+        write_atomic(args.out_structure, out_text)
         echo.append(f"structure: {args.out_structure}")
     return _certify(args, command, kind, "DONE", echo,
                     sections=(("input", serialize_structure(M)),
@@ -232,7 +231,7 @@ def _cmd_indiscernible(args, command: str) -> int:
         for rep, tup, label in violations)
     return _certify(args, command, "indiscernible", verdict,
                     [f"verdict: {verdict}", f"violations: {len(violations)}"],
-                    sections=(("sequence", _read(args.seqfile)),),
+                    sections=(("sequence", serialize_sequence(I, delta)),),
                     payload=payload)
 
 
@@ -248,7 +247,7 @@ def _cmd_extract(args, command: str) -> int:
         payload.append(f"embedding {encode_key(result.embedding.mapping)}")
         echo.append(f"index copy: {encode_key(result.embedding.mapping)}")
     return _certify(args, command, "extract", verdict, echo,
-                    sections=(("sequence", _read(args.seqfile)),
+                    sections=(("sequence", serialize_sequence(I, delta)),
                               ("pattern", serialize_structure(N_target))),
                     payload=payload)
 
@@ -269,8 +268,7 @@ def _cmd_generate(args, command: str) -> int:
     text = serialize_class(F, name=args.family)
     echo = [f"members: {len(F.members)}"]
     if args.out_class:
-        with open(args.out_class, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_atomic(args.out_class, text)
         echo.append(f"class file: {args.out_class}")
     return _certify(args, command, "generate", "DONE", echo,
                     sections=(("class", text),),

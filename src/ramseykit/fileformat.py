@@ -1,7 +1,8 @@
 """Line-oriented text files for structures, classes, and indexed sequences.
 
 The grammar is deliberately small enough to write by hand.  ``#`` starts a
-comment, blank lines separate nothing.  A file is a series of blocks:
+comment, blank lines separate nothing.  A file is a series of blocks, each
+opened by a ``signature``, ``structure``, ``class`` or ``sequence`` header:
 
     signature S
     relation < 2
@@ -25,9 +26,13 @@ comment, blank lines separate nothing.  A file is a series of blocks:
     map 0 -> (0)
     delta <(x0, x1)
 
-``member``, ``index``, and ``target`` name an inline structure from the
-same file, or a path relative to the file's directory.  Domain elements
-are bare indices; external names live only here, never inside structures.
+Blocks are built in file order, one function per block kind, so
+``member``, ``index`` and ``target`` name an inline structure from earlier in
+the file, or a path relative to the file's directory.  Names are unique per
+kind.  A row error is reported at its row; a whole-block error (a structure
+without ``domain``, a sequence without ``index``, a rejected signature or
+sequence, a reused name) at the block's header.  Domain elements are bare
+indices; external names live only here, never inside structures.
 """
 
 from __future__ import annotations
@@ -36,10 +41,10 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .classes import GENERATORS, FiniteClass, finite_class
+from .classes import GENERATORS, ClassError, FiniteClass, finite_class
 from .formulas import FormulaError, parse_formula, render_formula
 from .indiscernibles import ALL_FORMULAS, FormulaSet, IndexedSequence
-from .structures import Signature, Structure, StructureError, SignatureError
+from .structures import Signature, Structure
 
 
 class ParseError(ValueError):
@@ -62,266 +67,208 @@ class Document:
 
 _TUPLE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
 _FN_ENTRY = re.compile(r"(\d+(?:\s*,\s*\d+)*)\s*->\s*(\d+)")
-
-
-def _strip(line: str) -> str:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
-
-
-class _Builder:
-    """Accumulates one block; committed when the next block starts."""
-
-    def __init__(self, doc: Document, base_dir: str | None) -> None:
-        self.doc = doc
-        self.base_dir = base_dir
-        self.kind: str | None = None
-        self.line = 0
-
-    # -- signature block -------------------------------------------------
-
-    def start_signature(self, name: str, line: int) -> None:
-        self.commit(line)
-        self.kind = "signature"
-        self.line = line
-        self.name = name
-        self.rels: list[tuple[str, int]] = []
-        self.fns: list[tuple[str, int]] = []
-        self.consts: list[str] = []
-
-    # -- structure block -------------------------------------------------
-
-    def start_structure(self, name: str, signame: str, line: int) -> None:
-        self.commit(line)
-        if signame not in self.doc.signatures:
-            raise ParseError(f"unknown signature {signame!r}", line)
-        self.kind = "structure"
-        self.line = line
-        self.name = name
-        self.sig = self.doc.signatures[signame]
-        self.size: int | None = None
-        self.rel_tables: dict[str, set[tuple[int, ...]]] = {}
-        self.fn_tables: dict[str, dict[tuple[int, ...], int]] = {}
-        self.const_table: dict[str, int] = {}
-
-    def _check_range(self, value: int, line: int) -> int:
-        assert self.size is not None
-        if not 0 <= value < self.size:
-            raise ParseError(f"element {value} outside domain of size {self.size}", line)
-        return value
-
-    def relation_row(self, sym: str, rest: str, line: int) -> None:
-        if self.size is None:
-            raise ParseError("domain must come before tables", line)
-        arity = self.sig.rel_arity(sym)
-        seen = self.rel_tables.setdefault(sym, set())
-        consumed = 0
-        for m in _TUPLE.finditer(rest):
-            consumed += len(m.group(0).strip())
-            entries = tuple(self._check_range(int(x), line)
-                            for x in m.group(1).split(","))
-            if len(entries) != arity:
-                raise ParseError(
-                    f"{sym} expects arity {arity}, got tuple {entries}", line)
-            seen.add(entries)
-        if re.sub(r"[\s()\d,]", "", rest):
-            raise ParseError(f"bad relation row for {sym}: {rest!r}", line)
-
-    def function_row(self, sym: str, rest: str, line: int) -> None:
-        if self.size is None:
-            raise ParseError("domain must come before tables", line)
-        arity = self.sig.fn_arity(sym)
-        table = self.fn_tables.setdefault(sym, {})
-        matched = False
-        for m in _FN_ENTRY.finditer(rest):
-            matched = True
-            args = tuple(self._check_range(int(x), line)
-                         for x in m.group(1).split(","))
-            value = self._check_range(int(m.group(2)), line)
-            if len(args) != arity:
-                raise ParseError(
-                    f"{sym} expects arity {arity}, got arguments {args}", line)
-            if args in table:
-                raise ParseError(f"{sym}{args} assigned twice", line)
-            table[args] = value
-        if not matched and rest.strip():
-            raise ParseError(f"bad function row for {sym}: {rest!r}", line)
-
-    def constant_row(self, sym: str, rest: str, line: int) -> None:
-        if self.size is None:
-            raise ParseError("domain must come before tables", line)
-        if not rest.strip().isdigit():
-            raise ParseError(f"constant {sym} needs a domain element, got {rest!r}", line)
-        if sym in self.const_table:
-            raise ParseError(f"constant {sym} assigned twice", line)
-        self.const_table[sym] = self._check_range(int(rest.strip()), line)
-
-    # -- class block -----------------------------------------------------
-
-    def start_class(self, name: str, signame: str, line: int) -> None:
-        self.commit(line)
-        if signame not in self.doc.signatures:
-            raise ParseError(f"unknown signature {signame!r}", line)
-        self.kind = "class"
-        self.line = line
-        self.name = name
-        self.sig = self.doc.signatures[signame]
-        self.members: list[Structure] = []
-        self.open_window = False
-
-    def resolve_structure(self, ref: str, line: int) -> Structure:
-        if ref in self.doc.structures:
-            return self.doc.structures[ref]
-        path = ref if os.path.isabs(ref) else os.path.join(self.base_dir or ".", ref)
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                return parse_structure_file(fh.read(),
-                                            base_dir=os.path.dirname(path) or ".")
-        raise ParseError(f"no inline structure or file named {ref!r}", line)
-
-    # -- sequence block --------------------------------------------------
-
-    def start_sequence(self, name: str, line: int) -> None:
-        self.commit(line)
-        self.kind = "sequence"
-        self.line = line
-        self.name = name
-        self.index: Structure | None = None
-        self.target: Structure | None = None
-        self.width: int | None = None
-        self.rows: dict[int, tuple[int, ...]] = {}
-        self.deltas: list = []
-        self.delta_all = False
-
-    # -- commit ------------------------------------------------------------
-
-    def commit(self, line: int) -> None:
-        if self.kind is None:
-            return
-        try:
-            if self.kind == "signature":
-                self.doc.signatures[self.name] = Signature(
-                    tuple(self.rels), tuple(self.fns), tuple(self.consts))
-            elif self.kind == "structure":
-                if self.size is None:
-                    raise ParseError(f"structure {self.name!r} has no domain", self.line)
-                self.doc.structures[self.name] = Structure(
-                    self.sig, self.size,
-                    {s: frozenset(t) for s, t in self.rel_tables.items()},
-                    self.fn_tables, self.const_table, name=self.name)
-            elif self.kind == "class":
-                for m in self.members:
-                    if m.signature != self.sig:
-                        raise ParseError(
-                            f"member {m.name!r} does not match the class signature",
-                            self.line)
-                self.doc.classes[self.name] = finite_class(
-                    self.members, label=self.name, open_window=self.open_window)
-            elif self.kind == "sequence":
-                if self.index is None or self.target is None:
-                    raise ParseError(
-                        f"sequence {self.name!r} needs index and target", self.line)
-                width = self.width
-                if width is None:
-                    width = len(next(iter(self.rows.values()), (0,)))
-                missing = [i for i in range(self.index.size) if i not in self.rows]
-                if missing:
-                    raise ParseError(
-                        f"sequence {self.name!r} missing map for index {missing[0]}",
-                        self.line)
-                seq = IndexedSequence(self.index, self.target, width,
-                                      tuple(self.rows[i] for i in range(self.index.size)))
-                delta = ALL_FORMULAS if self.delta_all else FormulaSet(tuple(self.deltas))
-                self.doc.sequences[self.name] = (seq, delta)
-        except (SignatureError, StructureError, ValueError) as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(str(exc), line if self.kind != "structure" else self.line) from exc
-        self.kind = None
+_MAP = re.compile(r"(\d+)\s*->\s*\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
 
 
 def parse_document(text: str, base_dir: str | None = None) -> Document:
     doc = Document()
-    b = _Builder(doc, base_dir)
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = _strip(raw)
+    tables = {"signature": doc.signatures, "structure": doc.structures,
+              "class": doc.classes, "sequence": doc.sequences}
+    for kind, (line, _, _, header), rows in _blocks(text):
+        try:
+            name, value = _BUILDERS[kind](doc, header, line, rows, base_dir)
+        except ParseError:
+            raise
+        except ValueError as exc:
+            raise ParseError(str(exc), line) from exc
+        if name in tables[kind]:
+            raise ParseError(f"{kind} name {name!r} is already taken", line)
+        tables[kind][name] = value
+    return doc
+
+
+def _blocks(text: str) -> list:
+    """Cut ``text`` at its header lines into ``(kind, header, rows)`` blocks;
+    a header or row is ``(line number, line, first word, rest)``."""
+    blocks = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "signature":
-            b.start_signature(_one_name(rest, lineno), lineno)
-        elif head == "relation" and b.kind == "signature":
-            b.rels.append(_sym_arity(rest, lineno))
-        elif head == "function" and b.kind == "signature":
-            b.fns.append(_sym_arity(rest, lineno))
-        elif head == "constant" and b.kind == "signature":
-            b.consts.append(_one_name(rest, lineno))
-        elif head == "structure":
-            name, signame = _name_colon_name(rest, lineno)
-            b.start_structure(name, signame, lineno)
-        elif head == "domain" and b.kind == "structure":
-            if not rest.isdigit():
+        row = (lineno, line, head, rest.strip())
+        if head in _BUILDERS:
+            blocks.append((head, row, []))
+        elif blocks:
+            blocks[-1][2].append(row)
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno)
+    return blocks
+
+
+# -- one builder per block kind: (doc, header, line, rows, base_dir) -> (name, value)
+
+
+def _signature(doc, header, line, rows, base_dir):
+    name = _one_name(header, line)
+    symbols: dict[str, list] = {"relation": [], "function": [], "constant": []}
+    for lineno, _, head, rest in rows:
+        if head not in symbols:
+            raise ParseError(f"unknown directive {head!r}", lineno)
+        symbols[head].append(_one_name(rest, lineno) if head == "constant"
+                             else _sym_arity(rest, lineno))
+    return name, Signature(*(tuple(decls) for decls in symbols.values()))
+
+
+def _structure(doc, header, line, rows, base_dir):
+    name, sig = _name_and_signature(doc, header, line)
+    size = None
+    rels, fns, consts = {}, {}, {}
+    for lineno, text, head, rest in rows:
+        if head == "domain":
+            if not rest.isdecimal():
                 raise ParseError(f"domain needs a size, got {rest!r}", lineno)
-            b.size = int(rest)
-        elif head == "class":
-            name, signame = _name_colon_name(rest, lineno)
-            b.start_class(name, signame, lineno)
-        elif head == "member" and b.kind == "class":
-            b.members.append(b.resolve_structure(_one_name(rest, lineno), lineno))
-        elif head == "generate" and b.kind == "class":
+            size = int(rest)
+            continue
+        sym, sep, tail = _table_line(text)
+        if not (sep == ":" and sym in sig.relation_names + sig.function_names
+                or sep == "=" and sym in sig.constants):
+            raise ParseError(f"unknown symbol or directive {sym!r}", lineno)
+        if size is None:
+            raise ParseError("domain must come before tables", lineno)
+        if sym in sig.relation_names:
+            arity, seen = sig.rel_arity(sym), rels.setdefault(sym, set())
+            for m in _TUPLE.finditer(tail):
+                entries = tuple(_element(x, size, lineno) for x in m.group(1).split(","))
+                if len(entries) != arity:
+                    raise ParseError(
+                        f"{sym} expects arity {arity}, got tuple {entries}", lineno)
+                seen.add(entries)
+            if re.sub(r"[\s()\d,]", "", tail):
+                raise ParseError(f"bad relation row for {sym}: {tail!r}", lineno)
+        elif sym in sig.function_names:
+            arity, table = sig.fn_arity(sym), fns.setdefault(sym, {})
+            matches = list(_FN_ENTRY.finditer(tail))
+            if not matches and tail.strip():
+                raise ParseError(f"bad function row for {sym}: {tail!r}", lineno)
+            for m in matches:
+                args = tuple(_element(x, size, lineno) for x in m.group(1).split(","))
+                value = _element(m.group(2), size, lineno)
+                if len(args) != arity:
+                    raise ParseError(
+                        f"{sym} expects arity {arity}, got arguments {args}", lineno)
+                if args in table:
+                    raise ParseError(f"{sym}{args} assigned twice", lineno)
+                table[args] = value
+        else:
+            if not tail.strip().isdecimal():
+                raise ParseError(
+                    f"constant {sym} needs a domain element, got {tail!r}", lineno)
+            if sym in consts:
+                raise ParseError(f"constant {sym} assigned twice", lineno)
+            consts[sym] = _element(tail.strip(), size, lineno)
+    if size is None:
+        raise ParseError(f"structure {name!r} has no domain", line)
+    return name, Structure(sig, size, {s: frozenset(t) for s, t in rels.items()},
+                           fns, consts, name=name)
+
+
+def _class(doc, header, line, rows, base_dir):
+    name, sig = _name_and_signature(doc, header, line)
+    members: list[Structure] = []
+    open_window = False
+    for lineno, _, head, rest in rows:
+        if head == "member":
+            members.append(_resolve(doc, _one_name(rest, lineno), lineno, base_dir))
+        elif head == "generate":
             m = re.fullmatch(r"(\S+)\s+upto\s+(\d+)", rest)
             if not m or m.group(1) not in GENERATORS:
                 families = ", ".join(sorted(GENERATORS))
                 raise ParseError(f"expected `generate <{families}> upto <n>`", lineno)
-            b.members.extend(GENERATORS[m.group(1)](int(m.group(2))).members)
-            b.open_window = True
-        elif head == "open" and b.kind == "class" and not rest:
-            b.open_window = True
-        elif head == "sequence":
-            b.start_sequence(_one_name(rest.partition(":")[0].strip() or rest, lineno),
-                             lineno)
-        elif head == "index" and b.kind == "sequence":
-            b.index = b.resolve_structure(_one_name(rest, lineno), lineno)
-        elif head == "target" and b.kind == "sequence":
-            b.target = b.resolve_structure(_one_name(rest, lineno), lineno)
-        elif head == "width" and b.kind == "sequence":
-            if not rest.isdigit():
+            try:
+                members.extend(GENERATORS[m.group(1)](int(m.group(2))).members)
+            except ClassError as exc:
+                raise ParseError(str(exc), lineno) from exc
+            open_window = True
+        elif head == "open" and not rest:
+            open_window = True
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno)
+    for m in members:
+        if m.signature != sig:
+            raise ParseError(
+                f"member {m.name!r} does not match the class signature", line)
+    return name, finite_class(members, label=name, open_window=open_window)
+
+
+def _sequence(doc, header, line, rows, base_dir):
+    name = _one_name(header.partition(":")[0].strip() or header, line)
+    ends, maps, deltas, width = {}, {}, [], None
+    for lineno, _, head, rest in rows:
+        if head in ("index", "target"):
+            ends[head] = _resolve(doc, _one_name(rest, lineno), lineno, base_dir)
+        elif head == "width":
+            if not rest.isdecimal():
                 raise ParseError(f"width needs an integer, got {rest!r}", lineno)
-            b.width = int(rest)
-        elif head == "map" and b.kind == "sequence":
-            m = re.fullmatch(r"(\d+)\s*->\s*\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)", rest)
+            width = int(rest)
+        elif head == "map":
+            m = _MAP.fullmatch(rest)
             if not m:
                 raise ParseError(f"expected `map <i> -> (a, b, ...)`, got {rest!r}", lineno)
             i = int(m.group(1))
-            if i in b.rows:
+            if i in maps:
                 raise ParseError(f"map for index {i} given twice", lineno)
-            b.rows[i] = tuple(int(x) for x in m.group(2).split(","))
-        elif head == "delta" and b.kind == "sequence":
-            if rest == "ALL":
-                b.delta_all = True
-            else:
-                try:
-                    b.deltas.append(parse_formula(rest))
-                except FormulaError as exc:
-                    raise ParseError(str(exc), lineno) from exc
-        elif b.kind == "structure":
-            sym, sep, tail = _table_line(line)
-            if sep == ":" and sym in b.sig.relation_names:
-                b.relation_row(sym, tail, lineno)
-            elif sep == ":" and sym in b.sig.function_names:
-                b.function_row(sym, tail, lineno)
-            elif sep == "=" and sym in b.sig.constants:
-                b.constant_row(sym, tail, lineno)
-            else:
-                raise ParseError(f"unknown symbol or directive {sym!r}", lineno)
+            maps[i] = tuple(int(x) for x in m.group(2).split(","))
+        elif head == "delta":
+            try:
+                deltas.append(ALL_FORMULAS if rest == "ALL" else parse_formula(rest))
+            except FormulaError as exc:
+                raise ParseError(str(exc), lineno) from exc
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
-    b.commit(len(lines))
-    return doc
+    if len(ends) != 2:
+        raise ParseError(f"sequence {name!r} needs index and target", line)
+    index = ends["index"]
+    if width is None:
+        width = len(next(iter(maps.values()), (0,)))
+    missing = [i for i in range(index.size) if i not in maps]
+    if missing:
+        raise ParseError(f"sequence {name!r} missing map for index {missing[0]}", line)
+    seq = IndexedSequence(index, ends["target"], width,
+                          tuple(maps[i] for i in range(index.size)))
+    return name, (seq, ALL_FORMULAS if ALL_FORMULAS in deltas
+                  else FormulaSet(tuple(deltas)))
+
+
+_BUILDERS = {"signature": _signature, "structure": _structure,
+             "class": _class, "sequence": _sequence}
+
+
+def _element(text: str, size: int, line: int) -> int:
+    value = int(text)
+    if not 0 <= value < size:
+        raise ParseError(f"element {value} outside domain of size {size}", line)
+    return value
+
+
+def _resolve(doc, ref: str, line: int, base_dir: str | None) -> Structure:
+    if ref in doc.structures:
+        return doc.structures[ref]
+    path = ref if os.path.isabs(ref) else os.path.join(base_dir or ".", ref)
+    if os.path.isfile(path):
+        with open(path, encoding="utf-8") as fh:
+            return parse_structure_file(fh.read(),
+                                        base_dir=os.path.dirname(path) or ".")
+    raise ParseError(f"no inline structure or file named {ref!r}", line)
+
+
+def _name_and_signature(doc, header: str, line: int) -> tuple[str, Signature]:
+    name, sep, signame = (part.strip() for part in header.partition(":"))
+    if not sep or not name or not signame:
+        raise ParseError(f"expected `<name> : <signature>`, got {header!r}", line)
+    if signame not in doc.signatures:
+        raise ParseError(f"unknown signature {signame!r}", line)
+    return name, doc.signatures[signame]
 
 
 def _one_name(rest: str, line: int) -> str:
@@ -332,17 +279,9 @@ def _one_name(rest: str, line: int) -> str:
 
 def _sym_arity(rest: str, line: int) -> tuple[str, int]:
     parts = rest.split()
-    if len(parts) != 2 or not parts[1].isdigit():
+    if len(parts) != 2 or not parts[1].isdecimal():
         raise ParseError(f"expected `<symbol> <arity>`, got {rest!r}", line)
     return parts[0], int(parts[1])
-
-
-def _name_colon_name(rest: str, line: int) -> tuple[str, str]:
-    name, sep, signame = rest.partition(":")
-    name, signame = name.strip(), signame.strip()
-    if not sep or not name or not signame:
-        raise ParseError(f"expected `<name> : <signature>`, got {rest!r}", line)
-    return name, signame
 
 
 def _table_line(line: str) -> tuple[str, str, str]:
@@ -356,26 +295,22 @@ def _table_line(line: str) -> tuple[str, str, str]:
 # -- single-object conveniences -----------------------------------------------
 
 
+def _only(table: dict, kind: str):
+    if len(table) != 1:
+        raise ParseError(f"expected exactly one {kind}, found {len(table)}", 1)
+    return next(iter(table.values()))
+
+
 def parse_structure_file(text: str, base_dir: str | None = None) -> Structure:
-    doc = parse_document(text, base_dir)
-    if len(doc.structures) != 1:
-        raise ParseError(
-            f"expected exactly one structure, found {len(doc.structures)}", 1)
-    return next(iter(doc.structures.values()))
+    return _only(parse_document(text, base_dir).structures, "structure")
 
 
 def parse_class_file(text: str, base_dir: str | None = None) -> FiniteClass:
-    doc = parse_document(text, base_dir)
-    if len(doc.classes) != 1:
-        raise ParseError(f"expected exactly one class, found {len(doc.classes)}", 1)
-    return next(iter(doc.classes.values()))
+    return _only(parse_document(text, base_dir).classes, "class")
 
 
 def parse_sequence_file(text: str, base_dir: str | None = None):
-    doc = parse_document(text, base_dir)
-    if len(doc.sequences) != 1:
-        raise ParseError(f"expected exactly one sequence, found {len(doc.sequences)}", 1)
-    return next(iter(doc.sequences.values()))
+    return _only(parse_document(text, base_dir).sequences, "sequence")
 
 
 # -- serialization --------------------------------------------------------------
@@ -383,16 +318,13 @@ def parse_sequence_file(text: str, base_dir: str | None = None):
 
 def serialize_signature(sig: Signature, name: str = "S") -> str:
     lines = [f"signature {name}"]
-    for sym, ar in sig.relations:
-        lines.append(f"relation {sym} {ar}")
-    for sym, ar in sig.functions:
-        lines.append(f"function {sym} {ar}")
-    for sym in sig.constants:
-        lines.append(f"constant {sym}")
+    lines += [f"relation {sym} {ar}" for sym, ar in sig.relations]
+    lines += [f"function {sym} {ar}" for sym, ar in sig.functions]
+    lines += [f"constant {sym}" for sym in sig.constants]
     return "\n".join(lines) + "\n"
 
 
-def _structure_body(M: Structure, name: str, sig_name: str) -> list[str]:
+def _structure_body(M: Structure, name: str, sig_name: str = "S") -> list[str]:
     lines = [f"structure {name} : {sig_name}", f"domain {M.size}"]
     for sym in M.signature.relation_names:
         cells = " ".join("(" + ",".join(map(str, t)) + ")"
@@ -407,23 +339,30 @@ def _structure_body(M: Structure, name: str, sig_name: str) -> list[str]:
     return lines
 
 
-def serialize_structure(M: Structure, name: str | None = None,
-                        sig_name: str = "S") -> str:
-    name = name or M.name or "M"
-    out = [serialize_signature(M.signature, sig_name).rstrip(), ""]
-    out.extend(_structure_body(M, name, sig_name))
+def _distinct(names: list[str]) -> list[str]:
+    """``names`` with each repeat renamed ``<name>_<k>`` to a name not yet taken."""
+    taken: dict[str, None] = {}
+    for name in names:
+        fresh, k = name, 2
+        while fresh in taken:
+            fresh, k = f"{name}_{k}", k + 1
+        taken[fresh] = None
+    return list(taken)
+
+
+def serialize_structure(M: Structure, name: str | None = None) -> str:
+    out = [serialize_signature(M.signature).rstrip(), ""]
+    out.extend(_structure_body(M, name or M.name or "M"))
     return "\n".join(out) + "\n"
 
 
-def serialize_class(F: FiniteClass, name: str = "C", sig_name: str = "S") -> str:
-    out = [serialize_signature(F.signature, sig_name).rstrip(), ""]
-    member_names = []
-    for k, M in enumerate(F.members):
-        mname = M.name or f"M{k}"
-        member_names.append(mname)
-        out.extend(_structure_body(M, mname, sig_name))
+def serialize_class(F: FiniteClass, name: str = "C") -> str:
+    out = [serialize_signature(F.signature).rstrip(), ""]
+    member_names = _distinct([M.name or f"M{k}" for k, M in enumerate(F.members)])
+    for M, mname in zip(F.members, member_names):
+        out.extend(_structure_body(M, mname))
         out.append("")
-    out.append(f"class {name} : {sig_name}")
+    out.append(f"class {name} : S")
     out.extend(f"member {mname}" for mname in member_names)
     if F.open_window:
         # window of a larger class: verdicts needing missing witnesses stay open
@@ -431,25 +370,25 @@ def serialize_class(F: FiniteClass, name: str = "C", sig_name: str = "S") -> str
     return "\n".join(out) + "\n"
 
 
-def serialize_sequence(I: IndexedSequence, delta, name: str = "I",
-                       sig_name: str = "S") -> str:
-    out = [serialize_signature(I.index.signature, sig_name).rstrip(), ""]
-    out.extend(_structure_body(I.index, I.index.name or "N", sig_name))
+def serialize_sequence(I: IndexedSequence, delta, name: str = "I") -> str:
+    index_name, target_name = I.index.name or "N", I.target.name or "M"
+    out = [serialize_signature(I.index.signature).rstrip(), ""]
+    out.extend(_structure_body(I.index, index_name))
     out.append("")
-    if I.target.signature == I.index.signature:
-        tgt_sig = sig_name
-    else:
-        tgt_sig = sig_name + "T"
-        out.append(serialize_signature(I.target.signature, tgt_sig).rstrip())
+    if I.target != I.index or target_name != index_name:
+        # an index equal to its target, name included, is written once
+        target_name = _distinct([index_name, target_name])[1]
+        tgt_sig = "S"
+        if I.target.signature != I.index.signature:
+            tgt_sig = "ST"
+            out.append(serialize_signature(I.target.signature, tgt_sig).rstrip())
+            out.append("")
+        out.extend(_structure_body(I.target, target_name, tgt_sig))
         out.append("")
-    out.extend(_structure_body(I.target, I.target.name or "M", tgt_sig))
-    out.append("")
-    out.append(f"sequence {name}")
-    out.append(f"index {I.index.name or 'N'}")
-    out.append(f"target {I.target.name or 'M'}")
-    out.append(f"width {I.width}")
-    for i, row in enumerate(I.assignment):
-        out.append(f"map {i} -> ({','.join(map(str, row))})")
+    out += [f"sequence {name}", f"index {index_name}", f"target {target_name}",
+            f"width {I.width}"]
+    out += [f"map {i} -> ({','.join(map(str, row))})"
+            for i, row in enumerate(I.assignment)]
     if delta == ALL_FORMULAS:
         out.append("delta ALL")
     else:

@@ -398,6 +398,13 @@ class TestDegrees:
         assert all(row[2] == ((2, FAILS),) for row in out.checked[:-1])
         assert out.checked[-1][2] == ((2, HOLDS),)
 
+    @pytest.mark.parametrize("r_cap", [0, 1])
+    def test_colour_cap_must_exceed_the_degree(self, r_cap):
+        # with no colour count above d to probe, LO_1 would pass as a witness
+        with pytest.raises(ArrowError):
+            ramsey_degree_upper_probe(linear_order(2), linear_order(3),
+                                      [linear_order(1)], 1, r_cap=r_cap)
+
     def test_pattern_must_embed_in_target(self):
         with pytest.raises(ArrowError):
             ramsey_degree_upper_probe(linear_order(3), linear_order(2), [], 1)

@@ -9,6 +9,7 @@ from ramseykit import (Certificate, CertificateError, Coloring, arrow_check,
                        encode_key, linear_order, parse_certificate,
                        render_certificate, replay_certificate,
                        serialize_structure, write_certificate)
+from ramseykit.certificates import write_atomic
 
 
 def arrow_cert(verdict, payload_extra=(), acopies=10, bcopies=10):
@@ -99,6 +100,25 @@ class TestWrite:
         write_certificate(arrow_cert("HOLDS"), str(path))
         assert parse_certificate(path.read_text()) == arrow_cert("HOLDS")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.cert"]
+
+    def test_failed_rename_leaves_the_old_file_and_no_temporary(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_atomic(str(path), "new\n")
+        with pytest.raises(OSError):
+            write_certificate(arrow_cert("HOLDS"), str(path))
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+        monkeypatch.undo()
+        write_atomic(str(path), "new\n")
+        assert path.read_text() == "new\n"
 
     def test_overwrite(self, tmp_path):
         path = tmp_path / "out.cert"

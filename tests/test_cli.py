@@ -2,14 +2,15 @@
 
 import argparse
 import dataclasses
+import os
 
 import pytest
 
-from ramseykit import (Coloring, FormulaSet, coloring_lines, indexed_sequence,
-                       linear_order, linear_orders, parse_certificate,
-                       parse_formula, parse_structure_file, serialize_class,
-                       serialize_sequence, serialize_structure,
-                       write_certificate)
+from ramseykit import (Coloring, FormulaSet, Structure, coloring_lines,
+                       indexed_sequence, linear_order, linear_orders,
+                       parse_certificate, parse_formula, parse_structure_file,
+                       serialize_class, serialize_sequence,
+                       serialize_structure, write_certificate)
 from ramseykit import classes
 from ramseykit.cli import build_parser, main
 
@@ -195,6 +196,16 @@ class TestJointAndDegree:
         assert cert.has_section("witness")
         assert main(["verify", "d.cert"]) == 0
 
+    @pytest.mark.parametrize("max_colors", ["1", "0"])
+    def test_degree_with_no_colour_count_to_probe_exits_three(
+            self, tmp_path, monkeypatch, max_colors):
+        monkeypatch.chdir(tmp_path)
+        lo2, lo3 = write_orders(tmp_path, 2, 3)
+        assert main(["degree", lo2, lo3, "--degree", "1", "--max-colors",
+                     max_colors, "--candidates", "linear-orders",
+                     "--upto", "3"]) == 3
+        assert not (tmp_path / "degree.cert").exists()
+
     def test_samples_is_only_an_arrow_option(self, tmp_path, monkeypatch,
                                              capsys):
         monkeypatch.chdir(tmp_path)
@@ -347,6 +358,30 @@ class TestSequenceCommands:
         write_certificate(forged, str(tmp_path / "n.cert"))
         assert main(["verify", "n.cert"]) == 1
 
+    def test_sequence_certificates_replay_from_another_directory(
+            self, tmp_path, monkeypatch):
+        # the sequence file names its index and target files by relative path
+        work = tmp_path / "work"
+        work.mkdir()
+        write_orders(work, 4, 2)
+        (work / "s.seq").write_text(
+            "sequence s\nindex lo4.struct\ntarget lo2.struct\nwidth 1\n"
+            "map 0 -> (0)\nmap 1 -> (1)\nmap 2 -> (0)\nmap 3 -> (1)\n"
+            "delta <(x0, x1)\n")
+        monkeypatch.chdir(work)
+        assert main(["indiscernible", "s.seq", "--out", "n.cert"]) == 1
+        assert main(["extract", "s.seq", "lo2.struct", "--out", "x.cert"]) == 0
+        # where verify runs, lo2.struct is a different structure, on which
+        # the sequence would be indiscernible
+        write_orders(tmp_path, 4)
+        lo2 = linear_order(2)
+        full = Structure(lo2.signature, 2,
+                         {"<": {(a, b) for a in range(2) for b in range(2)}})
+        (tmp_path / "lo2.struct").write_text(serialize_structure(full))
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", os.path.join("work", "n.cert")]) == 0
+        assert main(["verify", os.path.join("work", "x.cert")]) == 0
+
     def test_extract_found(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         seq = write_parity_sequence(tmp_path)
@@ -381,6 +416,32 @@ class TestSequenceCommands:
         cert = parse_certificate((tmp_path / "x.cert").read_text())
         assert cert.verdict == "NONE"
         assert cert.payload_value("candidates") == "10"
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("output", ["cnf", "structure", "class"])
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch,
+                                              output):
+        monkeypatch.chdir(tmp_path)
+        lo3, lo2 = write_orders(tmp_path, 3, 2)
+        argv = {
+            "cnf": ["arrow", lo3, lo3, lo2, "--colors", "2", "--format", "cnf",
+                    "--out", "old.txt"],
+            "structure": ["expand", lo3, "--k", "2", "--out-structure",
+                          "old.txt"],
+            "class": ["generate", "linear-orders", "--upto", "3",
+                      "--out-class", "old.txt"],
+        }[output]
+        (tmp_path / "old.txt").write_text("old\n")
+        before = sorted(os.listdir(tmp_path))
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(argv) == 3
+        assert (tmp_path / "old.txt").read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestErrorsAndVerify:

@@ -2,10 +2,12 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseykit import (ALL_FORMULAS, FormulaSet, ParseError, Signature,
                        Structure, finite_class, indexed_sequence,
-                       linear_order, parse_class_file, parse_document,
+                       is_indiscernible, linear_order, parse_class_file,
+                       parse_document,
                        parse_formula, parse_sequence_file,
                        parse_structure_file, serialize_class,
                        serialize_sequence, serialize_signature,
@@ -116,6 +118,41 @@ class TestParseErrors:
             parse_document(text)
         assert err.value.line == 6
 
+    @pytest.mark.parametrize("text,line", [
+        # a rejected signature, followed by another block
+        ("signature S\nrelation E 0\n\nsignature T\n", 1),
+        # a class without members, followed by another block
+        ("signature S\nrelation E 2\n\nclass c : S\n\nsignature T\n", 4),
+        # a sequence whose maps are narrower than its width, at the end
+        ("signature S\nrelation E 2\n\nstructure M : S\ndomain 1\n\n"
+         "sequence q\nindex M\ntarget M\nwidth 2\nmap 0 -> (0)\n", 7),
+    ])
+    def test_whole_block_errors_point_at_the_header(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert err.value.line == line
+
+    def test_bad_generate_bound_is_a_parse_error(self):
+        text = ("signature S\nrelation < 2\n\nclass c : S\n"
+                "generate linear-orders upto 0\n")
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("blocks,line", [
+        ("signature S\nrelation E 2\n", 4),
+        ("structure G : S\ndomain 2\n\nstructure G : S\ndomain 3\n", 7),
+        ("structure M : S\ndomain 1\n\nclass c : S\nmember M\n\n"
+         "class c : S\nmember M\n", 10),
+        ("structure M : S\ndomain 1\n\nsequence q\nindex M\ntarget M\n"
+         "map 0 -> (0)\n\nsequence q\nindex M\ntarget M\nmap 0 -> (0)\n", 12),
+    ])
+    def test_repeated_names_are_rejected_at_the_second_header(self, blocks,
+                                                              line):
+        with pytest.raises(ParseError, match="already taken") as err:
+            parse_document("signature S\nrelation E 2\n\n" + blocks)
+        assert err.value.line == line
+
     def test_one_object_files(self):
         with pytest.raises(ParseError):
             parse_structure_file("signature S\nrelation E 2\n")
@@ -170,8 +207,71 @@ class TestRoundTrips:
         J, back = parse_sequence_file(text)
         assert J == I and back == ALL_FORMULAS
 
+    def test_class_members_sharing_a_name(self):
+        F = finite_class([linear_order(2, name="G"), linear_order(3, name="G")])
+        back = parse_class_file(serialize_class(F))
+        assert back.members == F.members
+        assert [M.name for M in back.members] == ["G", "G_2"]
+
+    def test_sequence_target_sharing_the_index_name(self):
+        I = indexed_sequence(linear_order(4), linear_order(2, name="LO_4"),
+                             [0, 1, 0, 1])
+        delta = FormulaSet((parse_formula("<(x0, x1)"),))
+        J, back = parse_sequence_file(serialize_sequence(I, delta))
+        assert J == I
+        assert not is_indiscernible(I, delta)[0]
+        assert not is_indiscernible(J, back)[0]
+
+    def test_index_equal_to_its_target_is_written_once(self):
+        I = indexed_sequence(linear_order(4), linear_order(4), [3, 2, 1, 0])
+        text = serialize_sequence(I, ALL_FORMULAS)
+        assert text.count("structure ") == 1
+        J, _ = parse_sequence_file(text)
+        assert J == I
+
     def test_signature_block_alone(self):
         sig = Signature(relations=(("E", 2), ("<", 2)), functions=(("f", 2),),
                         constants=("c", "d"))
         doc = parse_document(serialize_signature(sig, "X"))
         assert doc.signatures["X"] == sig
+
+
+# valid and malformed directive lines; no file named by them exists
+HEADER_LINES = [
+    "signature S", "signature T", "signature", "signature S T",
+    "structure A : S", "structure B : S", "structure A : T", "structure A",
+    "structure : S", "class c : S", "class c : T", "class c", "sequence q",
+    "sequence q : S", "sequence",
+]
+ROW_LINES = [
+    "relation E 2", "relation < 2", "relation E 0", "relation E two",
+    "relation E \u00b2", "function s 1", "function s", "constant e",
+    "constant", "domain 0", "domain 2", "domain 3", "domain x",
+    "domain \u00b2", "domain \u0663", "E : (0,1) (1,0)", "E : (0,5)",
+    "E : (0)", "E : junk", "< : (0,1)", "s : 0->1", "s : 0->1 0->0",
+    "s : 1,1->0", "e = 0", "e = 9", "e = x", "e = \u00b2", "member A",
+    "member B", "member ghost", "member", "generate linear-orders upto 3",
+    "generate pure-sets upto 2", "generate graphs upto 3",
+    "generate graphs upto 9", "generate pure-sets upto 0",
+    "generate nothing upto 2", "open", "open now", "index A", "index B",
+    "target A", "target B", "index ghost", "width 1", "width 2", "width 0",
+    "width x", "width \u00b2", "map 0 -> (0)", "map 1 -> (1)",
+    "map 0 -> (5)", "map 0 -> (0,1)", "map x", "delta E(x0, x1)",
+    "delta <(x0, x1)", "delta ALL", "delta E(x0", "delta Q(x0)",
+    "# comment", "", "what now",
+]
+blocks = st.lists(st.tuples(st.sampled_from(HEADER_LINES),
+                            st.lists(st.sampled_from(ROW_LINES), max_size=6)),
+                  max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ROW_LINES), max_size=1), blocks)
+def test_directive_text_parses_or_raises_parse_error(lead, blocks):
+    lines = lead + ["signature S", "relation E 2", "relation < 2"]
+    for header, rows in blocks:
+        lines += [header] + rows
+    try:
+        parse_document("\n".join(lines))
+    except ParseError:
+        pass
