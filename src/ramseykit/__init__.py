@@ -56,10 +56,11 @@ from .indiscernibles import (ALL_FORMULAS, ExtractionResult, FormulaSet,
                              ind_constraints, indexed_sequence,
                              induced_type_union_relation, is_indiscernible,
                              reindex)
-from .fileformat import (ParseError, parse_class_file, parse_document,
-                         parse_sequence_file, parse_structure_file,
-                         serialize_class, serialize_sequence,
-                         serialize_signature, serialize_structure)
+from .fileformat import (ParseError, SerializeError, parse_class_file,
+                         parse_document, parse_sequence_file,
+                         parse_structure_file, serialize_class,
+                         serialize_sequence, serialize_signature,
+                         serialize_structure)
 from .certificates import (Certificate, CertificateError, ReplayReport,
                            coloring_lines, decode_coloring, decode_key,
                            encode_key, parse_certificate, render_certificate,

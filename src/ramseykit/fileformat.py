@@ -28,11 +28,14 @@ opened by a ``signature``, ``structure``, ``class`` or ``sequence`` header:
 
 Blocks are built in file order, one function per block kind, so
 ``member``, ``index`` and ``target`` name an inline structure from earlier in
-the file, or a path relative to the file's directory.  Names are unique per
-kind.  A row error is reported at its row; a whole-block error (a structure
-without ``domain``, a sequence without ``index``, a rejected signature or
-sequence, a reused name) at the block's header.  Domain elements are bare
-indices; external names live only here, never inside structures.
+the file, or a path relative to the file's directory; a reference back to
+a file still being read is an error.  Names are unique per kind and hold no
+whitespace, ``:`` or ``#``.  ``delta`` formulas use only the target's
+symbols.  A row error is reported at its row; a whole-block error (a
+structure without ``domain``, a sequence without ``index``, a rejected
+signature or sequence, a reused name) at the block's header.  Domain
+elements are bare indices; external names live only here, never inside
+structures.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import re
 from dataclasses import dataclass, field
 
 from .classes import GENERATORS, ClassError, FiniteClass, finite_class
-from .formulas import FormulaError, parse_formula, render_formula
+from .formulas import FormulaError, formula_symbols, parse_formula, render_formula
 from .indiscernibles import ALL_FORMULAS, FormulaSet, IndexedSequence
 from .structures import Signature, Structure
 
@@ -53,6 +56,10 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class SerializeError(ValueError):
+    """A name that the text format could not read back."""
 
 
 @dataclass
@@ -68,15 +75,21 @@ class Document:
 _TUPLE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
 _FN_ENTRY = re.compile(r"(\d+(?:\s*,\s*\d+)*)\s*->\s*(\d+)")
 _MAP = re.compile(r"(\d+)\s*->\s*\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)")
+# a name ends at whitespace, `:` starts a signature, `#` a comment
+_NOT_IN_NAME = re.compile(r"[\s:#]")
 
 
 def parse_document(text: str, base_dir: str | None = None) -> Document:
+    return _document(text, (base_dir, frozenset()))
+
+
+def _document(text: str, source: tuple) -> Document:
     doc = Document()
     tables = {"signature": doc.signatures, "structure": doc.structures,
               "class": doc.classes, "sequence": doc.sequences}
     for kind, (line, _, _, header), rows in _blocks(text):
         try:
-            name, value = _BUILDERS[kind](doc, header, line, rows, base_dir)
+            name, value = _BUILDERS[kind](doc, header, line, rows, source)
         except ParseError:
             raise
         except ValueError as exc:
@@ -106,10 +119,12 @@ def _blocks(text: str) -> list:
     return blocks
 
 
-# -- one builder per block kind: (doc, header, line, rows, base_dir) -> (name, value)
+# -- one builder per block kind: (doc, header, line, rows, source) -> (name, value);
+# `source` is the directory references resolve in and the real paths of the
+# files being read, so that a reference loop stops
 
 
-def _signature(doc, header, line, rows, base_dir):
+def _signature(doc, header, line, rows, source):
     name = _one_name(header, line)
     symbols: dict[str, list] = {"relation": [], "function": [], "constant": []}
     for lineno, _, head, rest in rows:
@@ -120,7 +135,7 @@ def _signature(doc, header, line, rows, base_dir):
     return name, Signature(*(tuple(decls) for decls in symbols.values()))
 
 
-def _structure(doc, header, line, rows, base_dir):
+def _structure(doc, header, line, rows, source):
     name, sig = _name_and_signature(doc, header, line)
     size = None
     rels, fns, consts = {}, {}, {}
@@ -173,13 +188,13 @@ def _structure(doc, header, line, rows, base_dir):
                            fns, consts, name=name)
 
 
-def _class(doc, header, line, rows, base_dir):
+def _class(doc, header, line, rows, source):
     name, sig = _name_and_signature(doc, header, line)
     members: list[Structure] = []
     open_window = False
     for lineno, _, head, rest in rows:
         if head == "member":
-            members.append(_resolve(doc, _one_name(rest, lineno), lineno, base_dir))
+            members.append(_resolve(doc, _one_name(rest, lineno), lineno, source))
         elif head == "generate":
             m = re.fullmatch(r"(\S+)\s+upto\s+(\d+)", rest)
             if not m or m.group(1) not in GENERATORS:
@@ -201,12 +216,12 @@ def _class(doc, header, line, rows, base_dir):
     return name, finite_class(members, label=name, open_window=open_window)
 
 
-def _sequence(doc, header, line, rows, base_dir):
+def _sequence(doc, header, line, rows, source):
     name = _one_name(header.partition(":")[0].strip() or header, line)
-    ends, maps, deltas, width = {}, {}, [], None
+    ends, maps, deltas, width = {}, {}, {}, None  # deltas: line -> formula or ALL
     for lineno, _, head, rest in rows:
         if head in ("index", "target"):
-            ends[head] = _resolve(doc, _one_name(rest, lineno), lineno, base_dir)
+            ends[head] = _resolve(doc, _one_name(rest, lineno), lineno, source)
         elif head == "width":
             if not rest.isdecimal():
                 raise ParseError(f"width needs an integer, got {rest!r}", lineno)
@@ -221,14 +236,23 @@ def _sequence(doc, header, line, rows, base_dir):
             maps[i] = tuple(int(x) for x in m.group(2).split(","))
         elif head == "delta":
             try:
-                deltas.append(ALL_FORMULAS if rest == "ALL" else parse_formula(rest))
+                deltas[lineno] = ALL_FORMULAS if rest == "ALL" else parse_formula(rest)
             except FormulaError as exc:
                 raise ParseError(str(exc), lineno) from exc
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if len(ends) != 2:
         raise ParseError(f"sequence {name!r} needs index and target", line)
-    index = ends["index"]
+    index, sig = ends["index"], ends["target"].signature
+    declared = ({("relation", *r) for r in sig.relations}
+                | {("function", *f) for f in sig.functions}
+                | {("constant", c, 0) for c in sig.constants})
+    for lineno, phi in deltas.items():
+        unknown = set() if phi == ALL_FORMULAS else formula_symbols(phi) - declared
+        if unknown:
+            kind, sym, arity = min(unknown)
+            raise ParseError(f"the target signature has no {kind} {sym!r}"
+                             + (f" of arity {arity}" if arity else ""), lineno)
     if width is None:
         width = len(next(iter(maps.values()), (0,)))
     missing = [i for i in range(index.size) if i not in maps]
@@ -236,8 +260,8 @@ def _sequence(doc, header, line, rows, base_dir):
         raise ParseError(f"sequence {name!r} missing map for index {missing[0]}", line)
     seq = IndexedSequence(index, ends["target"], width,
                           tuple(maps[i] for i in range(index.size)))
-    return name, (seq, ALL_FORMULAS if ALL_FORMULAS in deltas
-                  else FormulaSet(tuple(deltas)))
+    formulas = tuple(deltas.values())
+    return name, (seq, ALL_FORMULAS if ALL_FORMULAS in formulas else FormulaSet(formulas))
 
 
 _BUILDERS = {"signature": _signature, "structure": _structure,
@@ -251,15 +275,20 @@ def _element(text: str, size: int, line: int) -> int:
     return value
 
 
-def _resolve(doc, ref: str, line: int, base_dir: str | None) -> Structure:
+def _resolve(doc, ref: str, line: int, source: tuple) -> Structure:
     if ref in doc.structures:
         return doc.structures[ref]
+    base_dir, reading = source
     path = ref if os.path.isabs(ref) else os.path.join(base_dir or ".", ref)
-    if os.path.isfile(path):
-        with open(path, encoding="utf-8") as fh:
-            return parse_structure_file(fh.read(),
-                                        base_dir=os.path.dirname(path) or ".")
-    raise ParseError(f"no inline structure or file named {ref!r}", line)
+    if not os.path.isfile(path):
+        raise ParseError(f"no inline structure or file named {ref!r}", line)
+    real = os.path.realpath(path)
+    if real in reading:
+        raise ParseError(f"file {ref!r} is already being read: the references loop", line)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    inner = _document(text, (os.path.dirname(path) or ".", reading | {real}))
+    return _only(inner.structures, "structure")
 
 
 def _name_and_signature(doc, header: str, line: int) -> tuple[str, Signature]:
@@ -268,11 +297,11 @@ def _name_and_signature(doc, header: str, line: int) -> tuple[str, Signature]:
         raise ParseError(f"expected `<name> : <signature>`, got {header!r}", line)
     if signame not in doc.signatures:
         raise ParseError(f"unknown signature {signame!r}", line)
-    return name, doc.signatures[signame]
+    return _one_name(name, line), doc.signatures[signame]
 
 
 def _one_name(rest: str, line: int) -> str:
-    if not rest or " " in rest:
+    if not rest or _NOT_IN_NAME.search(rest):
         raise ParseError(f"expected a single name, got {rest!r}", line)
     return rest
 
@@ -316,8 +345,15 @@ def parse_sequence_file(text: str, base_dir: str | None = None):
 # -- serialization --------------------------------------------------------------
 
 
+def _written(kind: str, name: str) -> str:
+    """``name``, which the parser must read back as one name."""
+    if not name or _NOT_IN_NAME.search(name):
+        raise SerializeError(f"{kind} name {name!r} is empty or holds whitespace, ':' or '#'")
+    return name
+
+
 def serialize_signature(sig: Signature, name: str = "S") -> str:
-    lines = [f"signature {name}"]
+    lines = [f"signature {_written('signature', name)}"]
     lines += [f"relation {sym} {ar}" for sym, ar in sig.relations]
     lines += [f"function {sym} {ar}" for sym, ar in sig.functions]
     lines += [f"constant {sym}" for sym in sig.constants]
@@ -325,7 +361,7 @@ def serialize_signature(sig: Signature, name: str = "S") -> str:
 
 
 def _structure_body(M: Structure, name: str, sig_name: str = "S") -> list[str]:
-    lines = [f"structure {name} : {sig_name}", f"domain {M.size}"]
+    lines = [f"structure {_written('structure', name)} : {sig_name}", f"domain {M.size}"]
     for sym in M.signature.relation_names:
         cells = " ".join("(" + ",".join(map(str, t)) + ")"
                          for t in M.rel_tuples(sym))
@@ -362,7 +398,7 @@ def serialize_class(F: FiniteClass, name: str = "C") -> str:
     for M, mname in zip(F.members, member_names):
         out.extend(_structure_body(M, mname))
         out.append("")
-    out.append(f"class {name} : S")
+    out.append(f"class {_written('class', name)} : S")
     out.extend(f"member {mname}" for mname in member_names)
     if F.open_window:
         # window of a larger class: verdicts needing missing witnesses stay open
@@ -385,8 +421,8 @@ def serialize_sequence(I: IndexedSequence, delta, name: str = "I") -> str:
             out.append("")
         out.extend(_structure_body(I.target, target_name, tgt_sig))
         out.append("")
-    out += [f"sequence {name}", f"index {index_name}", f"target {target_name}",
-            f"width {I.width}"]
+    out += [f"sequence {_written('sequence', name)}", f"index {index_name}",
+            f"target {target_name}", f"width {I.width}"]
     out += [f"map {i} -> ({','.join(map(str, row))})"
             for i, row in enumerate(I.assignment)]
     if delta == ALL_FORMULAS:

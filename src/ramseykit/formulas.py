@@ -3,7 +3,8 @@
 The grammar covers what finite-scale work needs: relation atoms, term
 equalities (terms may stack partial function applications on variables
 and constants), negation, conjunction, disjunction, implication, and
-quantifiers ranging over the finite domain.
+quantifiers ranging over the finite domain.  One tokenizer and one descent
+read it; a character outside every token raises ``FormulaError``.
 
 Partial functions give atoms a strictness convention: an atom whose term
 fails to denote is false (so its negation is true).  Variables are
@@ -13,7 +14,6 @@ variable index.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -148,6 +148,22 @@ def formula_arity(phi) -> int:
     return max(fv) + 1 if fv else 0
 
 
+def formula_symbols(phi) -> set[tuple[str, str, int]]:
+    """``(kind, name, arity)`` of each symbol a formula or term uses; constants have arity 0."""
+    if isinstance(phi, Var):
+        return set()
+    if isinstance(phi, ConstTerm):
+        return {("constant", phi.name, 0)}
+    if isinstance(phi, (RelAtom, FuncTerm)):
+        kind = "relation" if isinstance(phi, RelAtom) else "function"
+        return {(kind, phi.name, len(phi.args))}.union(*map(formula_symbols, phi.args))
+    if isinstance(phi, Not):
+        return formula_symbols(phi.sub)
+    if isinstance(phi, Quant):
+        return formula_symbols(phi.body)
+    return formula_symbols(phi.left) | formula_symbols(phi.right)
+
+
 def eval_formula(M: Structure, phi, env: dict[int, int]) -> bool:
     """Truth under an assignment.  Atoms with undefined terms are false."""
     if isinstance(phi, RelAtom):
@@ -187,140 +203,90 @@ def eval_on_tuple(M: Structure, phi, values) -> bool:
 
 # -- concrete syntax ---------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(->)|([()=,.~&|])|(forall|exists)\b|([A-Za-z_][A-Za-z0-9_]*)|(<=|>=|<|>)|$)")
+# punctuation | a name, keywords included | a character no token covers
+_TOKEN = re.compile(r"\s*(?:(->|[()=,.~&|])|([A-Za-z_][A-Za-z0-9_]*|[<>]=?)|(\S))")
+_PUNCT = {"->", *"()=,.~&|"}
+_VAR = re.compile(r"x(\d+)")
 
 
 def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, then "" for its end."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and not text[pos:].strip():
-            break
-        if m.end() == pos:
-            raise FormulaError(f"cannot tokenize at {text[pos:pos + 12]!r}")
-        tok = next(g for g in m.groups() if g is not None) if any(m.groups()) else None
-        if tok is None:
-            break
-        out.append(tok)
-        pos = m.end()
-    return out
+    for m in _TOKEN.finditer(text):
+        if m[3]:
+            raise FormulaError(f"unexpected character {m[3]!r} at position {m.start(3)}")
+        out.append(m[1] or m[2])
+    return out + [""]
 
 
 class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.toks = tokens
-        self.i = 0
+    """Recursive descent with one token of lookahead and no backtracking."""
 
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+    def __init__(self, text: str):
+        self.toks, self.i = _tokenize(text), 0
 
     def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaError("unexpected end of formula")
-        if expected is not None and tok != expected:
-            raise FormulaError(f"expected {expected!r}, found {tok!r}")
+        tok = self.toks[self.i]
+        if not tok or expected not in (None, tok):
+            raise FormulaError(f"expected {repr(expected) if expected else 'more'}, "
+                               f"found {repr(tok) if tok else 'the end of the formula'}")
         self.i += 1
         return tok
 
-    def parse_formula(self):
-        if self.peek() in ("forall", "exists"):
-            kind = self.take()
-            var = self._variable(self.take())
+    def accept(self, tok: str) -> bool:
+        found = self.toks[self.i] == tok
+        self.i += found
+        return found
+
+    def fold(self, op: str, node, operand):
+        out = operand()
+        while self.accept(op):
+            out = node(out, operand())
+        return out
+
+    def formula(self):
+        # `->` binds loosest and associates to the right
+        left = self.fold("|", Or, lambda: self.fold("&", And, self.unary))
+        return Implies(left, self.formula()) if self.accept("->") else left
+
+    def unary(self):
+        if self.toks[self.i] in ("forall", "exists"):
+            kind, var = self.take(), self.term()
+            if not isinstance(var, Var):
+                raise FormulaError(f"expected a variable, found {render_term(var)!r}")
             self.take(".")
-            return Quant(kind, var, self.parse_formula())
-        return self.parse_implies()
-
-    def parse_implies(self):
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_unary()
-        while self.peek() == "&":
-            self.take()
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self):
-        tok = self.peek()
-        if tok in ("forall", "exists"):
-            # quantifier scope extends as far right as possible
-            return self.parse_formula()
-        if tok == "~":
-            self.take()
-            return Not(self.parse_unary())
-        if tok == "(":
-            save = self.i
-            self.take()
-            try:
-                inner = self.parse_formula()
-                self.take(")")
-            except FormulaError:
-                # parenthesized term on the left of an equality
-                self.i = save
-                return self.parse_atom()
-            if self.peek() == "=":
-                raise FormulaError("parenthesized formula used as a term")
+            # the scope runs as far right as the formula goes
+            return Quant(kind, var.index, self.formula())
+        if self.accept("~"):
+            return Not(self.unary())
+        if self.accept("("):
+            inner = self.formula()
+            self.take(")")
             return inner
-        return self.parse_atom()
-
-    def parse_atom(self):
-        name = self.take()
-        if name in (")", "(", ",", "=", ".", "~", "&", "|", "->"):
-            raise FormulaError(f"unexpected token {name!r}")
-        if self.peek() == "(":
-            self.take()
-            args = [self.parse_term()]
-            while self.peek() == ",":
-                self.take()
-                args.append(self.parse_term())
-            self.take(")")
-            if self.peek() == "=":
-                self.take()
-                return EqAtom(FuncTerm(name, tuple(args)), self.parse_term())
-            return RelAtom(name, tuple(args))
-        left = self._name_term(name)
+        left = self.term()
+        if isinstance(left, FuncTerm) and self.toks[self.i] != "=":
+            return RelAtom(left.name, left.args)
         self.take("=")
-        return EqAtom(left, self.parse_term())
+        return EqAtom(left, self.term())
 
-    def parse_term(self):
+    def term(self):
         name = self.take()
-        if self.peek() == "(":
-            self.take()
-            args = [self.parse_term()]
-            while self.peek() == ",":
-                self.take()
-                args.append(self.parse_term())
-            self.take(")")
-            return FuncTerm(name, tuple(args))
-        return self._name_term(name)
+        if name in _PUNCT:
+            raise FormulaError(f"expected a name, found {name!r}")
+        if not self.accept("("):
+            m = _VAR.fullmatch(name)
+            return Var(int(m[1])) if m else ConstTerm(name)
+        args = [self.term()]
+        while self.accept(","):
+            args.append(self.term())
+        self.take(")")
+        return FuncTerm(name, tuple(args))
 
-    @staticmethod
-    def _variable(tok: str) -> int:
-        m = re.fullmatch(r"x(\d+)", tok)
-        if not m:
-            raise FormulaError(f"expected a variable (x0, x1, ...), found {tok!r}")
-        return int(m.group(1))
-
-    @staticmethod
-    def _name_term(tok: str):
-        m = re.fullmatch(r"x(\d+)", tok)
-        if m:
-            return Var(int(m.group(1)))
-        return ConstTerm(tok)
+    def whole(self, rule):
+        out = rule()
+        if self.toks[self.i]:
+            raise FormulaError(f"trailing input at {self.toks[self.i]!r}")
+        return out
 
 
 def parse_formula(text: str):
@@ -330,19 +296,13 @@ def parse_formula(text: str):
     one syntactic exception: a bare name in term position parses as a
     constant, ``x<digits>`` as a variable.
     """
-    p = _Parser(_tokenize(text))
-    phi = p.parse_formula()
-    if p.peek() is not None:
-        raise FormulaError(f"trailing input at {p.peek()!r}")
-    return phi
+    p = _Parser(text)
+    return p.whole(p.formula)
 
 
 def parse_term(text: str):
-    p = _Parser(_tokenize(text))
-    t = p.parse_term()
-    if p.peek() is not None:
-        raise FormulaError(f"trailing input at {p.peek()!r}")
-    return t
+    p = _Parser(text)
+    return p.whole(p.term)
 
 
 def render_term(t) -> str:

@@ -382,6 +382,28 @@ class TestSequenceCommands:
         assert main(["verify", os.path.join("work", "n.cert")]) == 0
         assert main(["verify", os.path.join("work", "x.cert")]) == 0
 
+    @pytest.mark.parametrize("deltas,code", [
+        # `;` is no token: the first line must not be cut to `x0 = x0`
+        (["x0 = x0 ; <(x0, x1)"], 3),
+        (["x0 = x0", "<(x0, x1)"], 1),
+        # never evaluated at cap 2, so it once certified INDISCERNIBLE
+        (["R(x0, x1, x2, x3, x4, x5)"], 3),
+    ])
+    def test_delta_lines_are_read_whole(self, tmp_path, monkeypatch, capsys,
+                                        deltas, code):
+        monkeypatch.chdir(tmp_path)
+        write_orders(tmp_path, 4, 2)
+        (tmp_path / "s.seq").write_text(
+            "sequence s\nindex lo4.struct\ntarget lo2.struct\nwidth 1\n"
+            "map 0 -> (0)\nmap 1 -> (1)\nmap 2 -> (0)\nmap 3 -> (1)\n"
+            + "".join(f"delta {d}\n" for d in deltas))
+        assert main(["indiscernible", "s.seq", "--cap", "2",
+                     "--out", "n.cert"]) == code
+        if code == 3:
+            assert "line 9" in capsys.readouterr().err
+        else:
+            assert main(["verify", "n.cert"]) == 0
+
     def test_extract_found(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         seq = write_parity_sequence(tmp_path)
@@ -457,6 +479,15 @@ class TestErrorsAndVerify:
         bad.write_text("structure M : S\n")
         assert main(["elf", str(bad), "--tuple", "0"]) == 3
         assert "line 1" in capsys.readouterr().err
+
+    def test_file_naming_itself_exits_three(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        self_ref = tmp_path / "self.struct"
+        self_ref.write_text(serialize_structure(linear_order(2))
+                            + "\nclass c : S\nmember self.struct\n")
+        assert main(["elf", str(self_ref), "--tuple", "0"]) == 3
+        assert "references loop" in capsys.readouterr().err
 
     def test_bad_argv_exits_three(self):
         assert main(["arrow"]) == 3

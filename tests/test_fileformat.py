@@ -1,11 +1,13 @@
 """Text-format parsing and serialization round-trips."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseykit import (ALL_FORMULAS, FormulaSet, ParseError, Signature,
-                       Structure, finite_class, indexed_sequence,
+from ramseykit import (ALL_FORMULAS, FormulaSet, ParseError, SerializeError,
+                       Signature, Structure, finite_class, indexed_sequence,
                        is_indiscernible, linear_order, parse_class_file,
                        parse_document,
                        parse_formula, parse_sequence_file,
@@ -162,6 +164,92 @@ class TestParseErrors:
             + "map 0 -> (0)\nmap 1 -> (0)\nmap 2 -> (0)\ndelta ALL\n"
         with pytest.raises(ParseError):
             parse_sequence_file(two)
+
+
+class TestFileReferences:
+    def test_a_file_naming_itself_is_a_parse_error(self, tmp_path):
+        text = ("signature S\nrelation E 2\n\nstructure pt : S\ndomain 1\n\n"
+                "class c : S\nmember self.struct\n")
+        (tmp_path / "self.struct").write_text(text)
+        with pytest.raises(ParseError, match="references loop") as err:
+            parse_structure_file(text, base_dir=str(tmp_path))
+        assert err.value.line == 8
+
+    def test_two_files_naming_each_other(self, tmp_path):
+        head = "signature S\nrelation E 2\n\nstructure pt : S\ndomain 1\n\n"
+        (tmp_path / "a.struct").write_text(head + "class c : S\nmember b.struct\n")
+        (tmp_path / "b.struct").write_text(head + "class c : S\nmember a.struct\n")
+        with pytest.raises(ParseError, match="references loop"):
+            parse_structure_file((tmp_path / "a.struct").read_text(),
+                                 base_dir=str(tmp_path))
+
+    def test_a_file_named_twice_is_no_loop(self, tmp_path):
+        (tmp_path / "pt.struct").write_text(
+            "signature S\nrelation E 2\n\nstructure pt : S\ndomain 1\n")
+        text = ("signature S\nrelation E 2\n\nclass c : S\n"
+                "member pt.struct\nmember pt.struct\n")
+        F = parse_class_file(text, base_dir=str(tmp_path))
+        assert len(F.members) == 1
+
+
+SEQ_HEAD = ("signature S\nrelation < 2\n\nstructure LO_2 : S\ndomain 2\n"
+            "< : (0,1)\n\nsequence q\nindex LO_2\ntarget LO_2\nwidth 1\n"
+            "map 0 -> (0)\nmap 1 -> (1)\n")
+
+
+class TestDeltaSymbols:
+    @pytest.mark.parametrize("delta,message", [
+        ("R(x0, x1)", "no relation 'R' of arity 2"),
+        ("R(x0, x1, x2, x3, x4, x5)", "no relation 'R' of arity 6"),
+        ("<(x0)", "no relation '<' of arity 1"),
+        ("s(x0) = x1", "no function 's' of arity 1"),
+        ("<(x0, x1) & e = x0", "no constant 'e'"),
+        ("x0 = forall", "no constant 'forall'"),
+    ])
+    def test_symbols_outside_the_target_signature(self, delta, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_sequence_file(SEQ_HEAD + f"delta x0 = x0\ndelta {delta}\n")
+        assert err.value.line == 15
+
+    def test_target_after_the_delta_lines(self):
+        text = SEQ_HEAD.replace("target LO_2\n", "") + "delta R(x0)\ntarget LO_2\n"
+        with pytest.raises(ParseError, match="no relation 'R'") as err:
+            parse_sequence_file(text)
+        assert err.value.line == 13
+
+    def test_symbols_of_the_target_are_accepted(self):
+        _, delta = parse_sequence_file(
+            SEQ_HEAD + "delta forall x1. (<(x0, x1) | x0 = x1)\n")
+        assert len(delta) == 1
+
+
+class TestNames:
+    @pytest.mark.parametrize("name", ["my order", "my\torder", "a:b", "a#b"])
+    def test_serializers_refuse_names_they_cannot_read_back(self, name):
+        named = re.escape(f"structure name {name!r}")
+        with pytest.raises(SerializeError, match=named):
+            serialize_structure(linear_order(2, name=name))
+        with pytest.raises(SerializeError, match=named):
+            serialize_class(finite_class([linear_order(2, name=name)]))
+        I = indexed_sequence(linear_order(3), linear_order(2, name=name),
+                             [0, 1, 0])
+        with pytest.raises(SerializeError, match=named):
+            serialize_sequence(I, ALL_FORMULAS)
+
+    @pytest.mark.parametrize("kind", ["class", "sequence"])
+    def test_block_names_follow_the_same_rule(self, kind):
+        I = indexed_sequence(linear_order(3), linear_order(2), [0, 1, 0])
+        with pytest.raises(SerializeError, match=f"{kind} name"):
+            if kind == "class":
+                serialize_class(finite_class([linear_order(2)]), name="a b")
+            else:
+                serialize_sequence(I, ALL_FORMULAS, name="a:b")
+
+    def test_a_header_name_with_a_space_is_rejected(self):
+        with pytest.raises(ParseError, match="single name") as err:
+            parse_document("signature S\nrelation E 2\n\n"
+                           "structure my order : S\ndomain 1\n")
+        assert err.value.line == 4
 
 
 class TestRoundTrips:

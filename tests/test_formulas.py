@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ramseykit import (FormulaError, SignatureError, Structure, eval_formula,
                        eval_on_tuple, eval_term, formula_arity,
                        free_variables, linear_order, parse_formula,
-                       parse_term, render_formula)
+                       parse_term, render_formula, render_term)
 
 from conftest import CONST_SIG, graph
 
@@ -125,3 +125,63 @@ class TestSemanticsProperties:
             "~(E(x0, x1) & (E(x1, x2) & E(x0, x2)))")
         assert eval_formula(graph(4, [(0, 1), (1, 2), (2, 3)]), phi, {})
         assert not eval_formula(graph(3, [(0, 1), (1, 2), (0, 2)]), phi, {})
+
+
+class TestRejections:
+    def test_text_past_an_unreadable_character_is_not_dropped(self):
+        # `;` is no token: the formula must not be cut to `x0 = x0`
+        with pytest.raises(FormulaError, match="';' at position 8"):
+            parse_formula("x0 = x0 ; <(x0, x1)")
+        with pytest.raises(FormulaError):
+            parse_term("s(x0) @")
+
+    @pytest.mark.parametrize("text", ["x0 = )", "x0 = (", "R(x0, .)",
+                                      "s(&) = x0", "x0 = ->"])
+    def test_punctuation_is_not_a_name(self, text):
+        with pytest.raises(FormulaError, match="expected a name"):
+            parse_formula(text)
+
+    @pytest.mark.parametrize("text", [")", ",", "s(x0, =)"])
+    def test_punctuation_is_not_a_term(self, text):
+        with pytest.raises(FormulaError, match="expected a name"):
+            parse_term(text)
+
+    def test_missing_close_paren_is_reported(self):
+        with pytest.raises(FormulaError, match="expected '\\)'"):
+            parse_formula("(E(x0, x1)")
+        with pytest.raises(FormulaError, match="expected '\\)', found 'E'"):
+            parse_formula("~(E(x0, x1) E(x1, x0))")
+
+    def test_keywords_are_names_in_term_position(self):
+        assert parse_term("forall") == parse_formula("x0 = forall").right
+
+
+# tokens, with and without a trailing space; `-` and `0` make tokens only
+# next to `>` and after a name, and no token holds a JUNK character
+TOKENS = ["x0", "x1", "x12", "e", "s", "E", "forall", "exists", "<", "<=",
+          ">", ">=", "(", ")", "=", ",", ".", "~", "&", "|", "->", "-", "0"]
+JUNK = ["@", ";", "é", "\t$"]
+texts = st.lists(st.sampled_from(TOKENS + [t + " " for t in TOKENS] + JUNK),
+                 max_size=14).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts)
+def test_formula_text_raises_or_round_trips(text):
+    try:
+        phi = parse_formula(text)
+    except FormulaError:
+        return
+    assert not any(junk in text for junk in JUNK)
+    assert parse_formula(render_formula(phi)) == phi
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts)
+def test_term_text_raises_or_round_trips(text):
+    try:
+        t = parse_term(text)
+    except FormulaError:
+        return
+    assert not any(junk in text for junk in JUNK)
+    assert parse_term(render_term(t)) == t
