@@ -11,7 +11,7 @@ indiscernible-sequence extraction, all exposed both as a library and
 through the ``ramseykit`` command line.
 """
 
-from .structures import (Signature, Structure, SignatureError,
+from .structures import (InputError, Signature, Structure, SignatureError,
                          SignatureMismatch, StructureError,
                          canonical_certificate, canonical_form,
                          generated_substructure, is_isomorphic,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .embeddings import Embedding, automorphism_group, enumerate_embeddings, first_embedding
 from .formulas import eval_term, term_variables
 from .qftypes import QfType, copies_of_type, qftp
-from .structures import Structure, substructure_closure
+from .structures import InputError, Structure, substructure_closure
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -40,11 +40,11 @@ DEFAULT_BUDGET = 10_000_000
 DEFAULT_SAMPLES = 200
 
 
-class ArrowError(ValueError):
+class ArrowError(InputError):
     """Ill-posed arrow query (bad mode, bad color count, bad coloring)."""
 
 
-class TermColoringError(ValueError):
+class TermColoringError(InputError):
     """A term-iteration precondition failed; the message says which."""
 
 

@@ -24,15 +24,17 @@ from .arrows import Coloring, build_instance, coloring_refutes
 from .classes import GENERATORS, elf_minimize, order_every_member
 from .embeddings import Embedding, EmbeddingError, automorphism_group
 from .expansions import isolator, qf_type_morleyisation
-from .indiscernibles import (check_locally_based, is_indiscernible, reindex)
+from .indiscernibles import (check_locally_based, is_indiscernible, least_cap,
+                             reindex)
 from .qftypes import qftp
 from .fileformat import (parse_class_file, parse_sequence_file,
                          parse_structure_file, serialize_class)
+from .structures import InputError, read_natural
 
 _HEADER = "ramseykit certificate v1"
 
 
-class CertificateError(ValueError):
+class CertificateError(InputError):
     """Malformed, corrupted, or irreproducible certificate."""
 
 
@@ -66,6 +68,9 @@ class Certificate:
         if len(values) != 1:
             raise CertificateError(f"expected exactly one payload {key!r} line")
         return values[0]
+
+    def payload_int(self, key: str) -> int:
+        return read_natural(self.payload_value(key), f"payload {key!r}")
 
 
 def _body_lines(cert: Certificate) -> list[str]:
@@ -129,7 +134,7 @@ def parse_certificate(text: str) -> Certificate:
                 sections.append((label, "\n".join(block) + "\n"))
         elif line.startswith("stat: "):
             name, _, value = line[len("stat: "):].partition("=")
-            stats.append((name, int(value)))
+            stats.append((name, read_natural(value, f"stat {name!r}")))
         elif line.startswith("note: "):
             notes.append(line[len("note: "):])
         else:
@@ -178,7 +183,7 @@ def encode_key(key: tuple[int, ...]) -> str:
 def decode_key(text: str) -> tuple[int, ...]:
     if text == "-":
         return ()
-    return tuple(int(x) for x in text.split(","))
+    return tuple(read_natural(x, "entry") for x in text.split(","))
 
 
 def coloring_lines(coloring: Coloring, prefix: str = "color") -> list[str]:
@@ -189,7 +194,7 @@ def decode_coloring(r: int, lines: list[str]) -> Coloring:
     rows = []
     for entry in lines:
         key, _, c = entry.rpartition(" ")
-        rows.append((decode_key(key), int(c)))
+        rows.append((decode_key(key), read_natural(c, "colour")))
     return Coloring(r, tuple(rows))
 
 
@@ -229,13 +234,13 @@ def _replay_arrow(cert: Certificate, report: ReplayReport) -> None:
     C = parse_structure_file(cert.section("ground"))
     B = parse_structure_file(cert.section("target"))
     A = parse_structure_file(cert.section("pattern"))
-    r = int(cert.payload_value("r"))
-    d = int(cert.payload_value("d"))
+    r = cert.payload_int("r")
+    d = cert.payload_int("d")
     instance = build_instance(cert.payload_value("copies"), C, B, A, r)
     report.add(f"instance rebuilt: {len(instance.copy_keys)} copies, "
                f"{len(instance.bcopy_keys)} target copies")
-    if int(cert.payload_value("acopies")) != len(instance.copy_keys) or \
-            int(cert.payload_value("bcopies")) != len(instance.bcopy_keys):
+    if cert.payload_int("acopies") != len(instance.copy_keys) or \
+            cert.payload_int("bcopies") != len(instance.bcopy_keys):
         report.fail("recorded copy counts do not match the inputs")
         return
     if cert.verdict == "FAILS":
@@ -258,8 +263,8 @@ def _replay_joint(cert: Certificate, report: ReplayReport) -> None:
     while cert.has_section(f"pattern{k}"):
         patterns.append(parse_structure_file(cert.section(f"pattern{k}")))
         k += 1
-    rs = [int(x) for x in cert.payload_value("rs").split(",")]
-    ds = [int(x) for x in cert.payload_value("ds").split(",")]
+    rs = decode_key(cert.payload_value("rs"))
+    ds = decode_key(cert.payload_value("ds"))
     instance = arrows.joint_instance(C, B, patterns, rs, ds)
     report.add(f"joint instance rebuilt: {len(instance.bcopy_keys)} target copies")
     if cert.verdict == "FAILS":
@@ -284,11 +289,11 @@ def _replay_joint(cert: Certificate, report: ReplayReport) -> None:
 def _replay_degree(cert: Certificate, report: ReplayReport) -> None:
     A = parse_structure_file(cert.section("pattern"))
     lower = len(automorphism_group(A))
-    if lower != int(cert.payload_value("lower")):
+    if lower != cert.payload_int("lower"):
         report.fail("recorded automorphism count is wrong")
         return
     report.add(f"lower bound re-derived: |Aut| = {lower}")
-    d = int(cert.payload_value("d"))
+    d = cert.payload_int("d")
     if cert.verdict == "IMPOSSIBLE":
         if lower > d:
             report.add(f"d = {d} < {lower} reproduced as impossible")
@@ -306,10 +311,11 @@ def _replay_orderable(cert: Certificate, report: ReplayReport) -> None:
     if cert.verdict == "ORDERABLE":
         types = []
         for row in cert.payload_values("phi"):
-            mi, tup = row.split(" ")
-            if not 0 <= int(mi) < len(F.members):
+            mi, _, tup = row.partition(" ")
+            mi = read_natural(mi, "phi member")
+            if mi >= len(F.members):
                 raise CertificateError(f"phi row {row!r} names no class member")
-            types.append(qftp(F.members[int(mi)], decode_key(tup)))
+            types.append(qftp(F.members[mi], decode_key(tup)))
         relations = order_every_member(F, frozenset(types))
         bad = [i for i, rel in enumerate(relations)
                if not rel.is_strict_linear_order]
@@ -333,7 +339,7 @@ def _replay_class_check(cert: Certificate, report: ReplayReport) -> None:
 
 def _replay_expand(cert: Certificate, report: ReplayReport) -> None:
     M = parse_structure_file(cert.section("input"))
-    k = int(cert.payload_value("k"))
+    k = cert.payload_int("k")
     out = parse_structure_file(cert.section("output"))
     fresh = (qf_type_morleyisation(M, k) if cert.kind == "expand"
              else isolator(M, k))
@@ -345,9 +351,10 @@ def _replay_expand(cert: Certificate, report: ReplayReport) -> None:
 
 def _replay_indiscernible(cert: Certificate, report: ReplayReport) -> None:
     I, delta = parse_sequence_file(cert.section("sequence"))
-    cap = int(cert.payload_value("cap"))
-    if cap < 1:
-        report.fail(f"cap {cap} checks no tuple length")
+    cap = cert.payload_int("cap")
+    least = max(1, least_cap(I, delta))
+    if cap < least:
+        report.fail(f"cap {cap} is below {least}: some delta formula is never evaluated")
         return
     ok, violations = is_indiscernible(I, delta, cap)
     verdict = "INDISCERNIBLE" if ok else "NOT-INDISCERNIBLE"
@@ -360,6 +367,9 @@ def _replay_indiscernible(cert: Certificate, report: ReplayReport) -> None:
 def _replay_extract(cert: Certificate, report: ReplayReport) -> None:
     I, delta = parse_sequence_file(cert.section("sequence"))
     N_target = parse_structure_file(cert.section("pattern"))
+    if N_target.size < least_cap(I, delta):
+        report.fail(f"a pattern of {N_target.size} elements misses some delta formula")
+        return
     if cert.verdict == "FOUND":
         mapping = decode_key(cert.payload_value("embedding"))
         g = Embedding(N_target, I.index, mapping)
@@ -392,7 +402,9 @@ def _replay_elf(cert: Certificate, report: ReplayReport) -> None:
 
 def _replay_generate(cert: Certificate, report: ReplayReport) -> None:
     family = cert.payload_value("family")
-    bound = int(cert.payload_value("upto"))
+    if family not in GENERATORS:
+        raise CertificateError(f"no class family {family!r}")
+    bound = cert.payload_int("upto")
     fresh = serialize_class(GENERATORS[family](bound), name=family)
     if fresh == cert.section("class"):
         report.add(f"{family} regenerated up to {bound}: identical bytes")

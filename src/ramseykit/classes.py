@@ -24,15 +24,15 @@ from .embeddings import automorphism_group, embeds, enumerate_embeddings, \
 from .expansions import TypeUnionRelation, define_by_type_union
 from .qftypes import QfType, enumerate_qf_copies, qf_copies_within, qftp, \
     tuples_by_type, type_digest
-from .structures import Signature, Structure, canonical_certificate, canonical_form, \
-    generated_substructure
+from .structures import InputError, Signature, Structure, canonical_certificate, \
+    canonical_form, generated_substructure
 
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-class ClassError(ValueError):
+class ClassError(InputError):
     """Malformed class (empty, mixed signatures, bound violations)."""
 
 

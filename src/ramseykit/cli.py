@@ -2,14 +2,16 @@
 
 Every run (except ``verify``) writes a plain-text certificate embedding its
 inputs, configuration and verdict data; ``verify`` replays one with no
-further search.  Exit codes: 0 the property holds or a witness was
-found, 1 refuted with certificate, 2 inconclusive within budget, 3 input
-error.  One helper, ``_certify``, writes every certificate, prints its
-echo lines and maps the verdict to the exit code.  A subcommand declares
-``--budget`` only if it searches and ``--seed`` only if it samples;
-``config:`` records the ``--budget``, ``--seed`` and ``--mode`` it has.
-The node budget defaults to 10^7, or ``RAMSEYKIT_BUDGET``; ``main``
-checks that it is positive before the subcommand runs.
+further search.  Exit codes: 0 the property holds or a witness was found,
+1 refuted with certificate, 2 inconclusive within budget, 3 input error.
+Every rejection of input, a malformed certificate included, is an
+``InputError``; that and ``OSError`` alone exit 3, and any other exception
+is a fault in ramseykit and keeps its traceback.  One helper, ``_certify``,
+writes every certificate, prints its echo lines and maps the verdict to the
+exit code.  A subcommand declares ``--budget`` only if it searches and
+``--seed`` only if it samples; ``config:`` records the ``--budget``,
+``--seed`` and ``--mode`` it has.  The node budget defaults to 10^7, or
+``RAMSEYKIT_BUDGET``; ``main`` checks that it is positive first.
 """
 
 from __future__ import annotations
@@ -21,21 +23,20 @@ import sys
 from .arrows import (DEFAULT_BUDGET, DEFAULT_SAMPLES, ArrowError, HOLDS, FAILS,
                      INCONCLUSIVE, build_instance, check_instance,
                      joint_arrow_check, ramsey_degree_upper_probe, render_cnf)
-from .certificates import (Certificate, CertificateError, coloring_lines,
-                           encode_key, decode_key, parse_certificate,
-                           replay_certificate, write_atomic,
-                           write_certificate)
-from .classes import (ClassError, GENERATORS, ap_check, elf_minimize,
-                      erp_check, f_erp_check, hp_check, jep_check,
-                      orderability_search, rigidity_scan)
+from .certificates import (Certificate, coloring_lines, encode_key,
+                           decode_key, parse_certificate, replay_certificate,
+                           write_atomic, write_certificate)
+from .classes import (GENERATORS, ap_check, elf_minimize, erp_check,
+                      f_erp_check, hp_check, jep_check, orderability_search,
+                      rigidity_scan)
 from .expansions import isolator, qf_type_morleyisation
-from .fileformat import (ParseError, parse_class_file, parse_sequence_file,
-                         parse_structure_file, serialize_class,
+from .fileformat import (parse_class_file, parse_sequence_file,
+                         parse_structure_file, read_text, serialize_class,
                          serialize_sequence, serialize_structure)
-from .formulas import FormulaError
 from .indiscernibles import (DEFAULT_ARITY_CAP, IndiscernibilityError,
-                             extract_indiscernible_pattern, is_indiscernible)
-from .structures import SignatureError, StructureError
+                             extract_indiscernible_pattern, is_indiscernible,
+                             least_cap)
+from .structures import InputError
 
 _EXIT = {
     HOLDS: 0, "PASS": 0, "WITNESS": 0, "ORDERABLE": 0, "FOUND": 0,
@@ -45,19 +46,12 @@ _EXIT = {
     INCONCLUSIVE: 2,
 }
 
-_INPUT_ERRORS = (ParseError, StructureError, SignatureError, ArrowError,
-                 ClassError, FormulaError, IndiscernibilityError,
-                 CertificateError, OSError, ValueError)
-
-
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+_INPUT_ERRORS = (InputError, OSError)
 
 
 def _parse(path: str, parser):
     """Parse one input file; references inside resolve next to it."""
-    return parser(_read(path), base_dir=os.path.dirname(path) or ".")
+    return parser(read_text(path), base_dir=os.path.dirname(path) or ".")
 
 
 def _certify(args, command: str, kind: str, verdict: str, echo, *,
@@ -117,12 +111,11 @@ def _cmd_arrow(args, command: str) -> int:
 
 
 def _cmd_joint_arrow(args, command: str) -> int:
+    rs = decode_key(args.colors)
+    ds = decode_key(args.degrees) if args.degrees else (1,) * len(args.patterns)
     C = _parse(args.ground, parse_structure_file)
     B = _parse(args.target, parse_structure_file)
     patterns = [_parse(p, parse_structure_file) for p in args.patterns]
-    rs = [int(x) for x in args.colors.split(",")]
-    ds = ([int(x) for x in args.degrees.split(",")] if args.degrees
-          else [1] * len(patterns))
     result = joint_arrow_check(C, B, patterns, rs, ds, args.mode,
                                seed=args.seed, samples=args.samples,
                                budget=args.budget)
@@ -220,9 +213,11 @@ def _cmd_expansion(args, command: str) -> int:
 
 
 def _cmd_indiscernible(args, command: str) -> int:
-    if args.cap < 1:
-        raise IndiscernibilityError("--cap must be at least 1")
     I, delta = _parse(args.seqfile, parse_sequence_file)
+    least = max(1, least_cap(I, delta))
+    if args.cap < least:
+        raise IndiscernibilityError(
+            f"--cap must be at least {least}, or some delta formula is never evaluated")
     ok, violations = is_indiscernible(I, delta, args.cap)
     verdict = "INDISCERNIBLE" if ok else "NOT-INDISCERNIBLE"
     payload = [f"cap {args.cap}"]
@@ -238,6 +233,10 @@ def _cmd_indiscernible(args, command: str) -> int:
 def _cmd_extract(args, command: str) -> int:
     I, delta = _parse(args.seqfile, parse_sequence_file)
     N_target = _parse(args.patternfile, parse_structure_file)
+    least = least_cap(I, delta)
+    if N_target.size < least:
+        raise IndiscernibilityError(f"the pattern needs at least {least} elements, "
+                                    "or some delta formula is never evaluated")
     result = extract_indiscernible_pattern(I, N_target, delta)
     verdict = "FOUND" if result.embedding is not None else "NONE"
     payload = [f"candidates {result.candidates_checked}"]
@@ -277,7 +276,7 @@ def _cmd_generate(args, command: str) -> int:
 
 
 def _cmd_verify(args, command: str) -> int:
-    cert = parse_certificate(_read(args.certfile))
+    cert = parse_certificate(read_text(args.certfile))
     report = replay_certificate(cert)
     print(f"kind: {cert.kind}")
     print(f"recorded verdict: {cert.verdict}")

@@ -25,10 +25,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .structures import SignatureMismatch, Structure
+from .structures import InputError, SignatureMismatch, Structure
 
 
-class EmbeddingError(ValueError):
+class EmbeddingError(InputError):
     """A mapping tuple that is not an embedding, with the reason."""
 
 
@@ -46,27 +46,12 @@ class Embedding:
     def apply_tuple(self, t) -> tuple[int, ...]:
         return tuple(self.mapping[x] for x in t)
 
-    def image(self) -> frozenset[int]:
-        return frozenset(self.mapping)
-
-    @property
-    def is_bijective(self) -> bool:
-        return self.source.size == self.target.size
-
     def compose(self, inner: "Embedding") -> "Embedding":
         """``self`` after ``inner`` (inner's target must be self's source)."""
         if inner.target != self.source:
             raise EmbeddingError("composition mismatch: inner target differs from outer source")
         return Embedding(inner.source, self.target,
                          tuple(self.mapping[x] for x in inner.mapping))
-
-    def inverse(self) -> "Embedding":
-        if not self.is_bijective:
-            raise EmbeddingError("only bijective embeddings can be inverted")
-        inv = [0] * self.target.size
-        for i, y in enumerate(self.mapping):
-            inv[y] = i
-        return Embedding(self.target, self.source, tuple(inv))
 
     # -- validation -----------------------------------------------------
 
@@ -235,10 +220,6 @@ class AutomorphismGroup:
     elements: tuple[Embedding, ...]
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def order(self) -> int:
         return len(self.elements)
 
 

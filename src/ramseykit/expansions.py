@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qftypes import QfType, tuples_by_type, type_digest
-from .structures import Signature, Structure
+from .structures import Signature, SignatureMismatch, Structure, StructureError
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def realized_types(M: Structure, k: int) -> TypePredicateTable:
     symbol or another row.
     """
     if k < 1:
-        raise ValueError("arity bound must be positive")
+        raise StructureError("arity bound must be positive")
     taken = set(M.signature.relation_names) | set(M.signature.function_names) \
         | set(M.signature.constants)
     rows = []
@@ -97,9 +97,9 @@ def same_qftp_partition(M1: Structure, M2: Structure, k: int) -> bool:
     for every m <= k; the signatures may differ, the domain may not.
     """
     if k < 1:
-        raise ValueError("arity bound must be positive")
+        raise StructureError("arity bound must be positive")
     if M1.size != M2.size:
-        raise ValueError("structures must share one domain")
+        raise StructureError("structures must share one domain")
     return all({frozenset(g) for g in tuples_by_type(M1, m).values()}
                == {frozenset(g) for g in tuples_by_type(M2, m).values()}
                for m in range(1, k + 1))
@@ -138,11 +138,11 @@ def define_by_type_union(M: Structure, types) -> TypeUnionRelation:
     phi = set()
     for t in types:
         if not isinstance(t, QfType) or t.kind != "generated":
-            raise ValueError("type unions take generated QfTypes")
+            raise StructureError("type unions take generated QfTypes")
         if t.arity != 2:
-            raise ValueError("type unions are binary: every type must have arity 2")
+            raise StructureError("type unions are binary: every type must have arity 2")
         if t.signature != M.signature:
-            raise ValueError("type and structure signatures differ")
+            raise SignatureMismatch("type and structure signatures differ")
         phi.add(t)
 
     n = M.size

@@ -31,7 +31,8 @@ Blocks are built in file order, one function per block kind, so
 the file, or a path relative to the file's directory; a reference back to
 a file still being read is an error.  Names are unique per kind and hold no
 whitespace, ``:`` or ``#``.  ``delta`` formulas use only the target's
-symbols.  A row error is reported at its row; a whole-block error (a
+symbols.  A row error is reported at its row, an error inside a referenced
+file at the referring row, naming the file; a whole-block error (a
 structure without ``domain``, a sequence without ``index``, a rejected
 signature or sequence, a reused name) at the block's header.  Domain
 elements are bare indices; external names live only here, never inside
@@ -44,13 +45,13 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .classes import GENERATORS, ClassError, FiniteClass, finite_class
-from .formulas import FormulaError, formula_symbols, parse_formula, render_formula
+from .classes import GENERATORS, FiniteClass, finite_class
+from .formulas import formula_symbols, parse_formula, render_formula
 from .indiscernibles import ALL_FORMULAS, FormulaSet, IndexedSequence
-from .structures import Signature, Structure
+from .structures import InputError, Signature, Structure, read_natural
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Input rejected, with the 1-based source line."""
 
     def __init__(self, message: str, line: int) -> None:
@@ -58,7 +59,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-class SerializeError(ValueError):
+class SerializeError(InputError):
     """A name that the text format could not read back."""
 
 
@@ -88,12 +89,7 @@ def _document(text: str, source: tuple) -> Document:
     tables = {"signature": doc.signatures, "structure": doc.structures,
               "class": doc.classes, "sequence": doc.sequences}
     for kind, (line, _, _, header), rows in _blocks(text):
-        try:
-            name, value = _BUILDERS[kind](doc, header, line, rows, source)
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(str(exc), line) from exc
+        name, value = _at(line, _BUILDERS[kind], doc, header, line, rows, source)
         if name in tables[kind]:
             raise ParseError(f"{kind} name {name!r} is already taken", line)
         tables[kind][name] = value
@@ -141,9 +137,7 @@ def _structure(doc, header, line, rows, source):
     rels, fns, consts = {}, {}, {}
     for lineno, text, head, rest in rows:
         if head == "domain":
-            if not rest.isdecimal():
-                raise ParseError(f"domain needs a size, got {rest!r}", lineno)
-            size = int(rest)
+            size = _at(lineno, read_natural, rest, "domain")
             continue
         sym, sep, tail = _table_line(text)
         if not (sep == ":" and sym in sig.relation_names + sig.function_names
@@ -200,10 +194,8 @@ def _class(doc, header, line, rows, source):
             if not m or m.group(1) not in GENERATORS:
                 families = ", ".join(sorted(GENERATORS))
                 raise ParseError(f"expected `generate <{families}> upto <n>`", lineno)
-            try:
-                members.extend(GENERATORS[m.group(1)](int(m.group(2))).members)
-            except ClassError as exc:
-                raise ParseError(str(exc), lineno) from exc
+            bound = _at(lineno, read_natural, m.group(2), "bound")
+            members.extend(_at(lineno, GENERATORS[m.group(1)], bound).members)
             open_window = True
         elif head == "open" and not rest:
             open_window = True
@@ -223,22 +215,18 @@ def _sequence(doc, header, line, rows, source):
         if head in ("index", "target"):
             ends[head] = _resolve(doc, _one_name(rest, lineno), lineno, source)
         elif head == "width":
-            if not rest.isdecimal():
-                raise ParseError(f"width needs an integer, got {rest!r}", lineno)
-            width = int(rest)
+            width = _at(lineno, read_natural, rest, "width")
         elif head == "map":
             m = _MAP.fullmatch(rest)
             if not m:
                 raise ParseError(f"expected `map <i> -> (a, b, ...)`, got {rest!r}", lineno)
-            i = int(m.group(1))
+            i = _at(lineno, read_natural, m.group(1), "index")
             if i in maps:
                 raise ParseError(f"map for index {i} given twice", lineno)
-            maps[i] = tuple(int(x) for x in m.group(2).split(","))
+            maps[i] = tuple(_at(lineno, read_natural, x.strip(), "entry")
+                            for x in m.group(2).split(","))
         elif head == "delta":
-            try:
-                deltas[lineno] = ALL_FORMULAS if rest == "ALL" else parse_formula(rest)
-            except FormulaError as exc:
-                raise ParseError(str(exc), lineno) from exc
+            deltas[lineno] = ALL_FORMULAS if rest == "ALL" else _at(lineno, parse_formula, rest)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if len(ends) != 2:
@@ -268,8 +256,18 @@ _BUILDERS = {"signature": _signature, "structure": _structure,
              "class": _class, "sequence": _sequence}
 
 
+def _at(line: int, read, *args):
+    """``read(*args)``, with an :class:`InputError` reported at ``line``."""
+    try:
+        return read(*args)
+    except ParseError:
+        raise
+    except InputError as exc:
+        raise ParseError(str(exc), line) from exc
+
+
 def _element(text: str, size: int, line: int) -> int:
-    value = int(text)
+    value = _at(line, read_natural, text.strip(), "element")
     if not 0 <= value < size:
         raise ParseError(f"element {value} outside domain of size {size}", line)
     return value
@@ -285,10 +283,21 @@ def _resolve(doc, ref: str, line: int, source: tuple) -> Structure:
     real = os.path.realpath(path)
     if real in reading:
         raise ParseError(f"file {ref!r} is already being read: the references loop", line)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    inner = _document(text, (os.path.dirname(path) or ".", reading | {real}))
-    return _only(inner.structures, "structure")
+    try:
+        inner = _document(read_text(path), (os.path.dirname(path) or ".", reading | {real}))
+        return _only(inner.structures, "structure")
+    except ParseError as exc:
+        raise ParseError(f"{ref}: {exc}", line) from exc
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 file's text; other bytes are a :class:`ParseError` at their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _name_and_signature(doc, header: str, line: int) -> tuple[str, Signature]:
@@ -308,9 +317,9 @@ def _one_name(rest: str, line: int) -> str:
 
 def _sym_arity(rest: str, line: int) -> tuple[str, int]:
     parts = rest.split()
-    if len(parts) != 2 or not parts[1].isdecimal():
+    if len(parts) != 2:
         raise ParseError(f"expected `<symbol> <arity>`, got {rest!r}", line)
-    return parts[0], int(parts[1])
+    return parts[0], _at(line, read_natural, parts[1], "arity")
 
 
 def _table_line(line: str) -> tuple[str, str, str]:

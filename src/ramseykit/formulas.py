@@ -17,10 +17,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .structures import Structure
+from .structures import InputError, Structure
 
 
-class FormulaError(ValueError):
+class FormulaError(InputError):
     """Parse or evaluation error for formulas."""
 
 

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 from .embeddings import Embedding, automorphism_group, iter_embeddings
 from .formulas import eval_on_tuple, formula_arity, parse_formula, render_formula
 from .qftypes import QfType, copies_of_type, qftp, tuples_by_type
-from .structures import Structure
+from .structures import InputError, Structure
 
 ALL_FORMULAS = "ALL"
 
 DEFAULT_ARITY_CAP = 4
 
 
-class IndiscernibilityError(ValueError):
+class IndiscernibilityError(InputError):
     """Malformed sequence or formula set, or a violated precondition."""
 
 
@@ -119,6 +119,15 @@ def delta_type(M: Structure, delta, values: tuple[int, ...]):
         else:
             bits.append(eval_on_tuple(M, phi, values[:a]))
     return tuple(bits)
+
+
+def least_cap(I: IndexedSequence, delta) -> int:
+    """Shortest index-tuple length whose target tuple every formula of Δ
+    reads: ceil(a / w) for arity a and width w, 0 in ALL mode.  A check
+    capped lower never evaluates some formula (``delta_type`` says absent)."""
+    if delta == ALL_FORMULAS:
+        return 0
+    return max((-(-a // I.width) for a in delta.arities), default=0)
 
 
 def _delta_colouring(I: IndexedSequence, delta):
@@ -376,7 +385,7 @@ def induced_type_union_relation(I: IndexedSequence, phi) -> tuple[QfType, ...]:
     """
     delta = FormulaSet((phi,))
     a = delta.arities[0]
-    n = max(1, -(-a // I.width))  # ceiling division: shortest covering length
+    n = max(1, least_cap(I, delta))
     ok, violations = is_indiscernible(I, delta, cap=n)
     if not ok:
         raise IndiscernibilityError(

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
 
-from .structures import (Signature, Structure, canonical_search,
-                         induced_substructure_tables, relation_rows_within,
-                         substructure_closure)
+from .structures import (Signature, SignatureMismatch, Structure, StructureError,
+                         canonical_search, induced_substructure_tables,
+                         relation_rows_within, substructure_closure)
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def qftp(M: Structure, abar) -> QfType:
     abar = tuple(int(x) for x in abar)
     for x in abar:
         if not 0 <= x < M.size:
-            raise ValueError(f"tuple entry {x} out of domain range")
+            raise StructureError(f"tuple entry {x} out of domain range")
     hit = M._type_cache.get(abar)
     if hit is not None:
         return hit
@@ -154,7 +154,7 @@ def induced_type(M: Structure, abar) -> QfType:
     abar = tuple(int(x) for x in abar)
     for x in abar:
         if not 0 <= x < M.size:
-            raise ValueError(f"tuple entry {x} out of domain range")
+            raise StructureError(f"tuple entry {x} out of domain range")
     return QfType(M.signature, len(abar), _pointed_cert(M, abar, abar),
                   kind="induced")
 
@@ -162,7 +162,7 @@ def induced_type(M: Structure, abar) -> QfType:
 def _reference_type(M: Structure, abar) -> QfType:
     abar = tuple(int(x) for x in abar)
     if len(set(abar)) != len(abar):
-        raise ValueError("reference tuple must have pairwise distinct entries")
+        raise StructureError("reference tuple must have pairwise distinct entries")
     return qftp(M, abar)
 
 
@@ -198,15 +198,15 @@ def copies_of_type(M: Structure, t: QfType,
     domain.  A type whose tuples repeat an entry has no copies.
     """
     if t.signature != M.signature:
-        raise ValueError("type and structure signatures differ")
+        raise SignatureMismatch("type and structure signatures differ")
     if t.kind != "generated":
-        raise ValueError("copies are enumerated for generated types only")
+        raise StructureError("copies are enumerated for generated types only")
     inside = None
     if ground is not None:
         inside = {int(g) for g in ground}
         bad = sorted(g for g in inside if not 0 <= g < M.size)
         if bad:
-            raise ValueError(f"ground entry {bad[0]} out of domain range")
+            raise StructureError(f"ground entry {bad[0]} out of domain range")
     group = tuples_by_type(M, t.arity).get(t, ())
     if group and len(set(group[0])) < t.arity:
         return []

@@ -30,21 +30,34 @@ import itertools
 from dataclasses import dataclass
 
 
-class SignatureError(ValueError):
+class InputError(ValueError):
+    """Input that ramseykit rejects.  Every package error derives from it;
+    the command line exits 3 on it alone, and anything else is a fault."""
+
+
+class SignatureError(InputError):
     """Malformed signature (duplicate names, bad arity)."""
 
 
-class StructureError(ValueError):
+class StructureError(InputError):
     """Tables that do not fit the signature or the domain."""
 
 
-class SignatureMismatch(ValueError):
+class SignatureMismatch(InputError):
     """An operation mixed structures over different signatures.
 
     Kept distinct from a plain non-isomorphism verdict: ``is_isomorphic``
     raises this instead of returning False when the comparison itself is
     ill-posed.
     """
+
+
+def read_natural(text: str, what: str) -> int:
+    """``text`` as a count: at most 18 decimal digits, so ``int`` always
+    converts it; anything else is an :class:`InputError` naming ``what``."""
+    if not text.isdecimal() or len(text) > 18:
+        raise InputError(f"{what} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
