@@ -15,9 +15,11 @@ picks one by name.  Every instance, joint ones too, has one member
 rule: the members of a B-copy b are the copies b∘f, f in one list of
 position tuples (binom(B, A), or the positions of the A-copies inside
 the first subset B-copy).  :func:`check_instance` is the only entry to
-the search, so every FAILS is re-verified in one place; one seeded
-sampler draws single and joint colorings alike.  All results carry
-enough state to re-verify certificates without re-running any search.
+the search, so every FAILS is re-verified in one place.  Over single
+and joint colorings alike, one seeded sampler draws for sample mode and
+one seeded local search looks for a refutation once refute mode's
+complete search has spent half its budget.  All results carry enough
+state to re-verify certificates without re-running any search.
 """
 
 from __future__ import annotations
@@ -321,6 +323,129 @@ def _sample(nb: int, members, sizes, rs, caps, seed: int, samples: int):
     return None, samples, first_good
 
 
+def _refute_by_local_search(nb: int, members, sizes, rs, caps, seed: int,
+                            steps: int):
+    """Seeded local search for one color list per part leaving no B-copy
+    good, over the same parts as :func:`_sample`.
+
+    A B-copy is a conflict while it is good: within ``caps[p]`` colors for
+    every part p.  Each step picks a random conflict and makes the
+    recoloring of one of its members that changes the weighted conflict
+    count least, ties broken at random (min-conflicts, Minton, Johnston,
+    Philips & Laird 1992).  When that move does not lower the count, the
+    picked B-copy's weight goes up by one (breakout, Morris 1993).
+    Returns the color lists or None, and the number of steps made, at most
+    ``steps``.
+
+    Copies of all parts share one index space, part p's from
+    ``first[p]``.  Part p keeps, per B-copy, its ``rs[p]`` color counts
+    and then its distinct count in one flat list, as
+    :func:`_search_bad_coloring` does; ``touch[g]`` pairs the distinct
+    slot of each B-copy holding copy g with the B-copy's index, and color
+    c's count sits ``r - c`` slots before the distinct slot.  ``over[bi]``
+    counts the parts in which B-copy bi is past its cap, so bi is a
+    conflict iff it is 0.  Recoloring g can change that only where g's
+    part has exactly cap or cap + 1 distinct colors.
+    """
+    parts = range(len(sizes))
+    if any(all(rs[p] <= caps[p] or len(members[p][bi]) <= caps[p] for p in parts)
+           for bi in range(nb)):
+        return None, 0  # some B-copy can never leave its caps
+    rng = random.Random(seed)
+    first = [sum(sizes[:p]) for p in parts]
+    var_r = [rs[p] for p in parts for _ in range(sizes[p])]
+    var_cap = [caps[p] for p in parts for _ in range(sizes[p])]
+    touch: list[list[tuple[int, int]]] = [[] for _ in var_r]
+    vars_of: list[list[int]] = [[] for _ in range(nb)]
+    end = 0
+    for p in parts:
+        stride = rs[p] + 1
+        for bi, mem in enumerate(members[p]):
+            ds = end + bi * stride + rs[p]
+            for ci in mem:
+                touch[first[p] + ci].append((ds, bi))
+                vars_of[bi].append(first[p] + ci)
+        end += nb * stride
+    cnt = [0] * end
+    col = [rng.randrange(r) for r in var_r]
+    over = [0] * nb
+    for g, r in enumerate(var_r):
+        sa = col[g] - r
+        for ds, bi in touch[g]:
+            if not cnt[ds + sa]:
+                cnt[ds] += 1
+                if cnt[ds] == var_cap[g] + 1:
+                    over[bi] += 1
+            cnt[ds + sa] += 1
+    conflicts = [bi for bi in range(nb) if not over[bi]]
+    pos = [-1] * nb
+    for i, bi in enumerate(conflicts):
+        pos[bi] = i
+    weight = [1] * nb
+
+    step = 0
+    while conflicts and step < steps:
+        step += 1
+        picked = conflicts[rng.randrange(len(conflicts))]
+        best = sys.maxsize
+        moves = []
+        for g in vars_of[picked]:
+            r, cap, a = var_r[g], var_cap[g], col[g]
+            cap1, sa = cap + 1, a - r
+            for c in range(r):
+                if c == a:
+                    continue
+                sc = c - r
+                change = 0  # weighted conflict change of recoloring g to c
+                for ds, bi in touch[g]:
+                    k = cnt[ds]
+                    if k == cap1:
+                        # g is the last of color a, c is not new: back within cap
+                        if cnt[ds + sa] == 1 and cnt[ds + sc] and over[bi] == 1:
+                            change += weight[bi]
+                    elif k == cap:
+                        # a stays and c is new: past cap
+                        if cnt[ds + sa] > 1 and not cnt[ds + sc] and not over[bi]:
+                            change -= weight[bi]
+                if change < best:
+                    best = change
+                    moves = [(g, c)]
+                elif change == best:
+                    moves.append((g, c))
+        g, c = moves[rng.randrange(len(moves))] if len(moves) > 1 else moves[0]
+        if best >= 0:
+            weight[picked] += 1
+
+        r, cap = var_r[g], var_cap[g]
+        sa, sc = col[g] - r, c - r
+        col[g] = c
+        for ds, bi in touch[g]:
+            k = cnt[ds]
+            left = cnt[ds + sa] - 1
+            cnt[ds + sa] = left
+            had = cnt[ds + sc]
+            cnt[ds + sc] = had + 1
+            new = k - (not left) + (not had)
+            if new == k:
+                continue
+            cnt[ds] = new
+            if k > cap >= new:  # back within cap
+                over[bi] -= 1
+                if not over[bi]:
+                    pos[bi] = len(conflicts)
+                    conflicts.append(bi)
+            elif new > cap >= k:  # past cap
+                over[bi] += 1
+                if over[bi] == 1:
+                    last = conflicts.pop()
+                    if last != bi:
+                        conflicts[pos[bi]] = last
+                        pos[last] = pos[bi]
+    if conflicts:
+        return None, step
+    return [col[first[p]:first[p] + sizes[p]] for p in parts], step
+
+
 def coloring_refutes(instance: ArrowInstance, coloring: Coloring, d: int = 1) -> bool:
     """Independent certificate check: every B-copy shows more than d colors.
 
@@ -364,20 +489,31 @@ def _colors_to_coloring(instance: ArrowInstance, colors) -> Coloring:
     return Coloring(instance.r, tuple(zip(instance.copy_keys, colors)))
 
 
+def _split_budget(budget):
+    """A refute run's DFS node budget and local-search step budget: half
+    each, and with no budget an unbounded DFS (which always settles) and
+    unbounded steps."""
+    if budget is None:
+        return None, sys.maxsize
+    return budget // 2, budget - budget // 2
+
+
 def check_instance(instance: ArrowInstance, mode: str = "decide", *, d: int = 1,
                    seed: int = 0, budget: int | None = DEFAULT_BUDGET,
                    samples: int = DEFAULT_SAMPLES) -> ArrowResult:
     """Run one instance in decide, refute, or sample mode.
 
     decide: complete search; HOLDS means exhaustion proved no bad coloring.
-    refute: sampling first, then the budgeted search; FAILS on any bad
-    coloring, HOLDS if the search happens to exhaust, else INCONCLUSIVE.
-    sample: sampling only; never HOLDS.
+    refute: the complete search on the first half of the budget, then the
+    seeded local search (:func:`_refute_by_local_search`) on the rest;
+    FAILS on a bad coloring from either, HOLDS only if the search
+    exhausts, else INCONCLUSIVE.
+    sample: up to ``samples`` seeded uniform draws only; never HOLDS.
 
-    Sampling makes up to ``samples`` seeded draws, stops at the first bad
-    one and writes the stats ``samples`` and ``witnessed`` (the draws
-    before it); the search writes ``nodes``, ``prunes`` and ``early_exit``.
-    Every FAILS is re-verified through :func:`coloring_refutes`.
+    The search writes the stats ``nodes``, ``prunes`` and ``early_exit``,
+    the local search ``steps`` when it runs, and sampling ``samples`` and
+    ``witnessed`` (the draws before the bad one).  Every FAILS is
+    re-verified through :func:`coloring_refutes`.
     """
     if mode not in ("decide", "refute", "sample"):
         raise ArrowError(f"unknown mode {mode!r}")
@@ -386,6 +522,7 @@ def check_instance(instance: ArrowInstance, mode: str = "decide", *, d: int = 1,
     if samples < 0:
         raise ArrowError("samples must be non-negative")
     ncopies = len(instance.copy_keys)
+    parts = ((instance.members,), (ncopies,), (instance.r,), (d,))
 
     def result(verdict, stats, colors=None) -> ArrowResult:
         coloring = None
@@ -396,20 +533,21 @@ def check_instance(instance: ArrowInstance, mode: str = "decide", *, d: int = 1,
         return ArrowResult(verdict, mode, d, seed, budget,
                            tuple(sorted(stats.items())), coloring, instance)
 
-    stats = {}
-    if mode != "decide":
-        drawn, stats["witnessed"], _ = _sample(
-            len(instance.members), (instance.members,), (ncopies,), (instance.r,),
-            (d,), seed, samples)
-        stats["samples"] = samples
+    if mode == "sample":
+        stats = {"samples": samples}
+        drawn, stats["witnessed"], _ = _sample(len(instance.members), *parts,
+                                               seed, samples)
         if drawn is not None:
             return result(FAILS, stats, drawn[0])
-        if mode == "sample":
-            return result(INCONCLUSIVE, stats)
+        return result(INCONCLUSIVE, stats)
 
-    colors, dstats, exhausted = _search_bad_coloring(
-        instance.members, ncopies, instance.r, d, budget)
-    stats.update(dstats)
+    nodes, steps = _split_budget(budget) if mode == "refute" else (budget, 0)
+    colors, stats, exhausted = _search_bad_coloring(
+        instance.members, ncopies, instance.r, d, nodes)
+    if colors is None and not exhausted and mode == "refute":
+        drawn, stats["steps"] = _refute_by_local_search(
+            len(instance.members), *parts, seed, steps)
+        colors = None if drawn is None else drawn[0]
     if colors is not None:
         return result(FAILS, stats, colors)
     return result(HOLDS if exhausted else INCONCLUSIVE, stats)
@@ -569,10 +707,14 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
     leaving no B-copy good for all patterns at once, else INCONCLUSIVE
     with the first draw's first good B-copy as ``witness_key``.  Stats:
     ``samples``, and ``witnessed`` for the draws before the bad one.
-    refute: first runs each pattern's complete search (stat ``nodes_<p>``;
-    one pattern coloring past its cap on every B-copy refutes the joint
-    statement on its own); with one pattern this collapses to the plain
-    check, so exhaustion there upgrades to HOLDS; else it samples.
+    refute: first runs each pattern's complete search on half the budget
+    (stat ``nodes_<p>``; one pattern coloring past its cap on every
+    B-copy refutes the joint statement on its own); with one pattern
+    this collapses to the plain check, so exhaustion there upgrades to
+    HOLDS; else the seeded local search of refute mode looks for a
+    coloring tuple on the other half (stat ``steps``).  With no budget
+    the local search has no step limit, so on a joint arrow of several
+    patterns that holds it does not return.
     """
     patterns = list(patterns)
     rs = [2] * len(patterns) if rs is None else list(rs)
@@ -584,48 +726,55 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
 
     instance = joint_instance(C, B, patterns, rs, ds)
     nb = len(instance.bcopy_keys)
+    sizes = [len(pc) for pc in instance.pattern_copies]
     stats: dict[str, int] = {}
 
-    def fails(per_pattern_colors) -> JointArrowResult:
-        colorings = tuple(
-            Coloring(rs[p], tuple(zip(instance.pattern_copies[p],
-                                      per_pattern_colors[p])))
-            for p in range(len(patterns)))
-        assert _first_good_bcopy(nb, instance.pattern_members, ds,
-                                 per_pattern_colors) is None
-        return JointArrowResult(FAILS, mode, seed, tuple(sorted(stats.items())),
-                                None, colorings, instance)
+    def result(verdict, per_pattern_colors=None, good=None) -> JointArrowResult:
+        colorings = None
+        if per_pattern_colors is not None:
+            if _first_good_bcopy(nb, instance.pattern_members, ds,
+                                 per_pattern_colors) is not None:
+                raise AssertionError("search produced colorings that do not re-verify")
+            colorings = tuple(
+                Coloring(rs[p], tuple(zip(instance.pattern_copies[p],
+                                          per_pattern_colors[p])))
+                for p in range(len(patterns)))
+        return JointArrowResult(verdict, mode, seed, tuple(sorted(stats.items())),
+                                None if good is None else instance.bcopy_keys[good],
+                                colorings, instance)
 
     if nb == 0:
-        return fails([[0] * len(pc) for pc in instance.pattern_copies])
+        return result(FAILS, [[0] * n for n in sizes])
 
-    if mode == "refute":
-        exhausted_all = True
-        for p in range(len(patterns)):
-            res = check_instance(
-                ArrowInstance("embedding", rs[p], instance.pattern_copies[p],
-                              instance.bcopy_keys, instance.pattern_members[p]),
-                "decide", d=ds[p], budget=budget)
-            stats[f"nodes_{p}"] = res.stat("nodes")
-            if res.verdict == FAILS:
-                # this pattern alone breaks every B-copy; pad the others
-                tuple_colors = [[0] * len(pc) for pc in instance.pattern_copies]
-                tuple_colors[p] = [c for _, c in res.coloring.assignments]
-                return fails(tuple_colors)
-            exhausted_all = exhausted_all and res.verdict == HOLDS
-        if exhausted_all and len(patterns) == 1:
-            return JointArrowResult(HOLDS, mode, seed, tuple(sorted(stats.items())),
-                                    None, None, instance)
+    if mode == "sample":
+        stats["samples"] = samples
+        drawn, stats["witnessed"], good = _sample(
+            nb, instance.pattern_members, sizes, rs, ds, seed, samples)
+        if drawn is not None:
+            return result(FAILS, drawn)
+        return result(INCONCLUSIVE, good=good)
 
-    drawn, stats["witnessed"], good = _sample(
-        nb, instance.pattern_members, [len(pc) for pc in instance.pattern_copies],
-        rs, ds, seed, samples)
-    stats["samples"] = samples
+    nodes, steps = _split_budget(budget)
+    exhausted_all = True
+    for p in range(len(patterns)):
+        res = check_instance(
+            ArrowInstance("embedding", rs[p], instance.pattern_copies[p],
+                          instance.bcopy_keys, instance.pattern_members[p]),
+            "decide", d=ds[p], budget=nodes)
+        stats[f"nodes_{p}"] = res.stat("nodes")
+        if res.verdict == FAILS:
+            # this pattern alone breaks every B-copy; pad the others
+            tuple_colors = [[0] * n for n in sizes]
+            tuple_colors[p] = [c for _, c in res.coloring.assignments]
+            return result(FAILS, tuple_colors)
+        exhausted_all = exhausted_all and res.verdict == HOLDS
+    if exhausted_all and len(patterns) == 1:
+        return result(HOLDS)
+    drawn, stats["steps"] = _refute_by_local_search(
+        nb, instance.pattern_members, sizes, rs, ds, seed, steps)
     if drawn is not None:
-        return fails(drawn)
-    return JointArrowResult(INCONCLUSIVE, mode, seed, tuple(sorted(stats.items())),
-                            None if good is None else instance.bcopy_keys[good],
-                            None, instance)
+        return result(FAILS, drawn)
+    return result(INCONCLUSIVE)
 
 
 @dataclass(frozen=True)
@@ -790,8 +939,8 @@ class PromotionResult:
 
 
 def promote_arrow_witness(C: Structure, A: Structure, b_prime, B: Structure, *,
-                          seed: int = 0, budget: int | None = DEFAULT_BUDGET,
-                          samples: int = DEFAULT_SAMPLES) -> PromotionResult:
+                          seed: int = 0,
+                          budget: int | None = DEFAULT_BUDGET) -> PromotionResult:
     """Carry C -> (B′)^A_2 over to the structure B′ generates.
 
     ``b_prime`` is a point set of B that generates it and supports every
@@ -820,7 +969,7 @@ def promote_arrow_witness(C: Structure, A: Structure, b_prime, B: Structure, *,
     # a finite structure is closed, so the structure C generates is C
     b_type = qftp(B, tuple(range(B.size)))
     recheck = check_instance(subset_arrow_instance(C, a_type, b_type, 2),
-                             "refute", seed=seed, budget=budget, samples=samples)
+                             "refute", seed=seed, budget=budget)
     if recheck.verdict == FAILS:
         raise ArrowError("promoted arrow refuted; promotion preconditions understate")
     return PromotionResult(C, precheck, recheck)

@@ -9,9 +9,11 @@ Every rejection of input, a malformed certificate included, is an
 is a fault in ramseykit and keeps its traceback.  One helper, ``_certify``,
 writes every certificate, prints its echo lines and maps the verdict to the
 exit code.  A subcommand declares ``--budget`` only if it searches and
-``--seed`` only if it samples; ``config:`` records the ``--budget``,
-``--seed`` and ``--mode`` it has.  The node budget defaults to 10^7, or
-``RAMSEYKIT_BUDGET``; ``main`` checks that it is positive first.
+``--seed`` only if it makes random choices (sample mode's draws, refute
+mode's local search); ``config:`` records the ``--budget``, ``--seed`` and
+``--mode`` it has.  The budget defaults to 10^7, or ``RAMSEYKIT_BUDGET``;
+``main`` checks that it is positive, and that the command line the
+certificate records is UTF-8 text, first.
 """
 
 from __future__ import annotations
@@ -294,7 +296,8 @@ def _common(sub, *, budget=False, seed=False, modes=()) -> None:
     if budget:
         sub.add_argument("--budget", type=int,
                          default=os.environ.get("RAMSEYKIT_BUDGET") or DEFAULT_BUDGET,
-                         help="search node budget (env RAMSEYKIT_BUDGET)")
+                         help="search nodes, plus local-search steps in refute "
+                              "mode (env RAMSEYKIT_BUDGET)")
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="random seed")
     sub.add_argument("--out", default="", help="certificate path")
@@ -321,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "cnf"), default="text",
                    help="cnf: export the instance instead of solving")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="random colorings per sampling pass")
+                   help="random colorings to draw in sample mode")
     _common(p, budget=True, seed=True, modes=("decide", "refute", "sample"))
 
     p = subs.add_parser("joint-arrow", help="simultaneous arrows, one ground")
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", default="",
                    help="comma-separated caps, one per pattern")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="random colorings per sampling pass")
+                   help="random colorings to draw in sample mode")
     _common(p, budget=True, seed=True, modes=("sample", "refute"))
 
     p = subs.add_parser("degree", help="probe Ramsey degree witnesses")
@@ -420,6 +423,11 @@ def main(argv=None) -> int:
         return 3 if exc.code not in (0, None) else 0
     command = "ramseykit " + " ".join(argv)
     try:
+        try:
+            command.encode("utf-8")
+        except UnicodeEncodeError:
+            # certificates are UTF-8 text and record the command line
+            raise InputError("arguments must be UTF-8 text") from None
         if "budget" in args and args.budget <= 0:
             raise ArrowError("budget must be positive")
         return _HANDLERS[args.subcommand](args, command)

@@ -219,11 +219,55 @@ def _tokenize(text: str) -> list[str]:
     return out + [""]
 
 
+# a parsed tree has at most this many levels, so that every recursive walk
+# of it stays far inside Python's recursion limit
+MAX_DEPTH = 50
+# rendering opens at most four parser rules per level of the tree (for a
+# quantifier: its own, the formula after the dot, the parenthesis and the
+# formula inside it), plus the outermost formula; so a rendered tree
+# within MAX_DEPTH parses again
+_MAX_OPEN_RULES = 4 * MAX_DEPTH + 1
+
+
+def _too_deep() -> FormulaError:
+    return FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
+
+
+def _nested(rule):
+    """Count one open parser rule while ``rule`` parses."""
+    def counted(self):
+        self.depth += 1
+        if self.depth > _MAX_OPEN_RULES:
+            raise _too_deep()
+        out = rule(self)
+        self.depth -= 1
+        return out
+    return counted
+
+
+def _tree_depth(tree) -> int:
+    """Levels of a formula or term tree, walked with an explicit stack."""
+    deepest, stack = 0, [(tree, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        for value in vars(node).values():
+            for child in value if isinstance(value, tuple) else (value,):
+                if not isinstance(child, (str, int)):
+                    stack.append((child, level + 1))
+    return deepest
+
+
 class _Parser:
-    """Recursive descent with one token of lookahead and no backtracking."""
+    """Recursive descent with one token of lookahead and no backtracking.
+
+    ``depth`` counts the rules open at the current token, which bounds the
+    recursion; an ``&`` or ``|`` chain deepens the tree without recursing,
+    so :meth:`whole` bounds the finished tree's depth as well.
+    """
 
     def __init__(self, text: str):
-        self.toks, self.i = _tokenize(text), 0
+        self.toks, self.i, self.depth = _tokenize(text), 0, 0
 
     def take(self, expected: str | None = None) -> str:
         tok = self.toks[self.i]
@@ -244,11 +288,13 @@ class _Parser:
             out = node(out, operand())
         return out
 
+    @_nested
     def formula(self):
         # `->` binds loosest and associates to the right
         left = self.fold("|", Or, lambda: self.fold("&", And, self.unary))
         return Implies(left, self.formula()) if self.accept("->") else left
 
+    @_nested
     def unary(self):
         if self.toks[self.i] in ("forall", "exists"):
             kind, var = self.take(), self.term()
@@ -269,6 +315,7 @@ class _Parser:
         self.take("=")
         return EqAtom(left, self.term())
 
+    @_nested
     def term(self):
         name = self.take()
         if name in _PUNCT:
@@ -286,6 +333,8 @@ class _Parser:
         out = rule()
         if self.toks[self.i]:
             raise FormulaError(f"trailing input at {self.toks[self.i]!r}")
+        if _tree_depth(out) > MAX_DEPTH:
+            raise _too_deep()
         return out
 
 

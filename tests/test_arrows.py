@@ -16,7 +16,8 @@ from ramseykit import (FAILS, HOLDS, INCONCLUSIVE, ArrowError, ArrowInstance,
                        ramsey_degree_lower, ramsey_degree_upper_probe,
                        render_cnf, subset_arrow_instance,
                        term_iteration_coloring)
-from ramseykit.arrows import _search_bad_coloring, build_instance
+from ramseykit.arrows import (_first_good_bcopy, _refute_by_local_search,
+                              _search_bad_coloring, build_instance)
 
 from conftest import (FN_SIG, binary_structures, functional_structures,
                       graph)
@@ -270,6 +271,153 @@ class TestOracleAgreement:
         assert coloring_refutes(inst3, lifted)
 
 
+@st.composite
+def refute_inputs(draw):
+    """A single-arrow instance over up to 8 copies with r in 2..3 and d in
+    1..2, a node budget and a seed.  As in ``search_inputs``, half the
+    inputs take every k-set of copies, so that some arrows hold."""
+    ncopies = draw(st.integers(0, 8))
+    d = draw(st.integers(1, 2))
+    r = draw(st.integers(2, 3))
+    shortest = min(ncopies, d + 1)
+    if draw(st.booleans()):
+        members = [tuple(draw(st.permutations(m))) for m in
+                   itertools.combinations(range(ncopies), max(shortest, 1))]
+    else:
+        nb = draw(st.integers(0, 8))
+        members = draw(st.lists(
+            st.lists(st.integers(0, ncopies - 1), unique=True,
+                     min_size=shortest, max_size=max(shortest, 5)).map(tuple)
+            if ncopies else st.just(()), min_size=nb, max_size=nb))
+    instance = ArrowInstance("embedding", r, tuple((i,) for i in range(ncopies)),
+                             tuple((j,) for j in range(len(members))),
+                             tuple(members))
+    return instance, d, draw(st.integers(0, 60)), draw(st.integers(0, 2**16))
+
+
+@st.composite
+def joint_parts(draw):
+    """One to three parts sharing up to 6 B-copies: copy counts, color
+    counts in 2..3, caps in 1..2 and member lists, then a step budget and
+    a seed."""
+    nb = draw(st.integers(0, 6))
+    sizes, rs, caps, members = [], [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 5))
+        sizes.append(n)
+        rs.append(draw(st.integers(2, 3)))
+        caps.append(draw(st.integers(1, 2)))
+        members.append(tuple(
+            tuple(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4)))
+            for _ in range(nb)))
+    return (nb, tuple(members), tuple(sizes), tuple(rs), tuple(caps),
+            draw(st.integers(0, 200)), draw(st.integers(0, 2**16)))
+
+
+class TestRefuteMode:
+    """Refute mode runs the complete search on half the budget and the
+    seeded local search on the other half."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(refute_inputs())
+    def test_refute_is_sound_and_deterministic(self, args):
+        inst, d, budget, seed = args
+        res = check_instance(inst, "refute", d=d, seed=seed, budget=budget)
+        truth = check_instance(inst, "decide", d=d, budget=None).verdict
+        _, _, exhausted = _search_bad_coloring(inst.members, len(inst.copy_keys),
+                                               inst.r, d, budget // 2)
+        if res.verdict == FAILS:
+            assert coloring_refutes(inst, res.coloring, d)
+            assert truth == FAILS
+        if res.verdict == HOLDS:
+            assert exhausted and truth == HOLDS
+        assert res.stat("nodes") <= budget // 2 + 1
+        assert res.stat("steps") <= budget - budget // 2
+        assert check_instance(inst, "refute", d=d, seed=seed, budget=budget) == res
+
+    @settings(max_examples=300, deadline=None)
+    @given(refute_inputs())
+    def test_local_search_alone_is_sound_and_deterministic(self, args):
+        inst, d, budget, seed = args
+        parts = (inst.members,), (len(inst.copy_keys),), (inst.r,), (d,)
+        nb = len(inst.members)
+        colors, steps = _refute_by_local_search(nb, *parts, seed, budget)
+        assert steps <= budget
+        if colors is not None:
+            assert _first_good_bcopy(nb, parts[0], parts[3], colors) is None
+            assert check_instance(inst, "decide", d=d, budget=None).verdict == FAILS
+        assert _refute_by_local_search(nb, *parts, seed, budget) == (colors, steps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(joint_parts())
+    def test_joint_local_search_is_sound_and_deterministic(self, args):
+        nb, members, sizes, rs, caps, budget, seed = args
+        colors, steps = _refute_by_local_search(nb, members, sizes, rs, caps,
+                                                seed, budget)
+        assert steps <= budget
+        if colors is not None:
+            assert [len(c) for c in colors] == list(sizes)
+            assert all(0 <= c < r for cs, r in zip(colors, rs) for c in cs)
+            assert _first_good_bcopy(nb, members, caps, colors) is None
+        elif all(any(len(m[bi]) > cap < r for m, r, cap in zip(members, rs, caps))
+                 for bi in range(nb)):
+            # every B-copy can leave its caps: the search gives up only
+            # at the end of its budget
+            assert steps == budget
+        assert _refute_by_local_search(nb, members, sizes, rs, caps,
+                                       seed, budget) == (colors, steps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 6), b=st.integers(1, 4), rs=st.lists(
+        st.integers(2, 3), min_size=1, max_size=2), d=st.integers(1, 2),
+        budget=st.integers(0, 60), seed=st.integers(0, 2**16))
+    def test_joint_refute_is_sound_and_deterministic(self, n, b, rs, d,
+                                                     budget, seed):
+        b = min(b, n)
+        patterns = [linear_order(a) for a in range(1, min(b, len(rs)) + 1)]
+        rs = rs[:len(patterns)]
+        ds = [d] * len(patterns)
+        res = joint_arrow_check(linear_order(n), linear_order(b), patterns, rs,
+                                ds, "refute", seed=seed, budget=budget)
+        inst = res.instance
+        if res.verdict == FAILS:
+            colors = [[c.color_of(key) for key in keys]
+                      for c, keys in zip(res.colorings, inst.pattern_copies)]
+            assert _first_good_bcopy(len(inst.bcopy_keys), inst.pattern_members,
+                                     ds, colors) is None
+        if res.verdict == HOLDS:
+            single = ArrowInstance("embedding", rs[0], inst.pattern_copies[0],
+                                   inst.bcopy_keys, inst.pattern_members[0])
+            assert len(patterns) == 1
+            assert check_instance(single, "decide", d=d,
+                                  budget=budget // 2).verdict == HOLDS
+        assert dict(res.stats).get("steps", 0) <= budget - budget // 2
+        assert joint_arrow_check(linear_order(n), linear_order(b), patterns, rs,
+                                 ds, "refute", seed=seed, budget=budget) == res
+
+    @pytest.mark.parametrize("n,b,a,r", [(10, 3, 2, 3), (8, 4, 3, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_local_search_refutes_what_the_search_leaves_open(self, n, b, a, r,
+                                                              seed):
+        # LO_10 -> (LO_3)^LO_2_3 fails (R(3,3,3) = 17), and so does
+        # LO_8 -> (LO_4)^LO_3_2 (R^(3)(4,4) = 13); the search's first
+        # 5,000 nodes find neither refutation
+        inst = arrow_instance(linear_order(n), linear_order(b), linear_order(a), r)
+        res = check_instance(inst, "refute", seed=seed, budget=10_000)
+        assert res.verdict == FAILS
+        assert coloring_refutes(inst, res.coloring)
+        assert res.stat("nodes") == 5001
+        assert 0 < res.stat("steps") <= 5000
+
+    def test_the_search_goes_first(self):
+        # the search exhausts LO_6 -> (LO_3)^LO_2_2 in 493 nodes, so the
+        # local search never runs and the run holds
+        inst = arrow_instance(linear_order(6), linear_order(3), linear_order(2), 2)
+        res = check_instance(inst, "refute", seed=4, budget=100_000)
+        assert res.verdict == HOLDS
+        assert dict(res.stats) == {"nodes": 493, "prunes": 494, "early_exit": 0}
+
+
 class TestModes:
     def test_sample_mode_is_deterministic_per_seed(self):
         kw = dict(mode="sample", seed=7, samples=50)
@@ -294,7 +442,7 @@ class TestModes:
                             2, mode="refute", samples=20, budget=10)
         assert small.verdict == INCONCLUSIVE
 
-    @pytest.mark.parametrize("mode", ["sample", "refute"])
+    @pytest.mark.parametrize("mode", ["sample"])
     @pytest.mark.parametrize("copies,make,n,b,a,r", [
         ("embedding", linear_order, 3, 2, 1, 3),
         ("embedding", linear_order, 4, 2, 1, 4),

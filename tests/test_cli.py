@@ -97,6 +97,21 @@ class TestArrow:
             == "FAILS"
         assert main(["verify", "a.cert"]) == 0
 
+    def test_refute_mode_records_its_steps_and_verifies(self, tmp_path,
+                                                       monkeypatch):
+        # decide leaves LO_8 -> (LO_4)^LO_3_2 open at 10,000 nodes
+        monkeypatch.chdir(tmp_path)
+        lo8, lo4, lo3 = write_orders(tmp_path, 8, 4, 3)
+        argv = ["arrow", lo8, lo4, lo3, "--colors", "2", "--budget", "10000",
+                "--seed", "1", "--out", "a.cert"]
+        assert main(argv) == 2
+        assert main(argv + ["--mode", "refute"]) == 1
+        cert = parse_certificate((tmp_path / "a.cert").read_text())
+        stats = dict(cert.stats)
+        assert stats["nodes"] == 5001 and 0 < stats["steps"] <= 5000
+        assert "samples" not in stats and "mode=refute" in cert.config
+        assert main(["verify", "a.cert"]) == 0
+
     def test_budget_starvation_exits_two(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         lo6, lo3, lo2 = write_orders(tmp_path, 6, 3, 2)

@@ -8,6 +8,7 @@ from ramseykit import (FormulaError, SignatureError, Structure, eval_formula,
                        eval_on_tuple, eval_term, formula_arity,
                        free_variables, linear_order, parse_formula,
                        parse_term, render_formula, render_term)
+from ramseykit.formulas import MAX_DEPTH
 
 from conftest import CONST_SIG, graph
 
@@ -154,6 +155,41 @@ class TestRejections:
 
     def test_keywords_are_names_in_term_position(self):
         assert parse_term("forall") == parse_formula("x0 = forall").right
+
+
+# one nesting construct each, n levels deep
+NESTINGS = {
+    "negation": lambda n: "~" * n + "x0 = x0",
+    "parentheses": lambda n: "(" * n + "x0 = x0" + ")" * n,
+    "conjunction": lambda n: " & ".join(["x0 = x0"] * n),
+    "implication": lambda n: " -> ".join(["x0 = x0"] * n),
+    "quantifier": lambda n: "forall x0. " * n + "x0 = x0",
+    "function": lambda n: "s(" * n + "x0" + ")" * n + " = x0",
+}
+
+
+class TestNestingBound:
+    @pytest.mark.parametrize("kind", sorted(NESTINGS))
+    def test_deep_nesting_raises_instead_of_recursing(self, kind):
+        with pytest.raises(FormulaError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse_formula(NESTINGS[kind](3000))
+
+    @pytest.mark.parametrize("kind", sorted(NESTINGS))
+    def test_the_deepest_accepted_formula_renders_and_parses_back(self, kind):
+        n = 1
+        while n < 3000:
+            try:
+                parse_formula(NESTINGS[kind](n + 1))
+            except FormulaError:
+                break
+            n += 1
+        assert n >= MAX_DEPTH - 2
+        phi = parse_formula(NESTINGS[kind](n))
+        assert parse_formula(render_formula(phi)) == phi
+
+    def test_deep_terms_raise(self):
+        with pytest.raises(FormulaError, match="deeper than"):
+            parse_term("s(" * 3000 + "x0" + ")" * 3000)
 
 
 # tokens, with and without a trailing space; `-` and `0` make tokens only

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import importlib
 import io
+import os
 import pkgutil
 
 import pytest
@@ -166,6 +167,53 @@ class TestDeltaCap:
             payload=("candidates 1", "embedding 0,1"))
         write_certificate(cert, str(tmp_path / "x.cert"))
         assert main(["verify", str(tmp_path / "x.cert")]) == 1
+
+
+class TestDeepFormula:
+    """A formula nested past the parser's bound is bad input, whether it
+    comes from a sequence file or from a certificate."""
+
+    DEEP = "delta " + "~" * 3000 + "x0 = x0"
+
+    def test_indiscernible_exits_three(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_orders(tmp_path, 4, 2)
+        (tmp_path / "s.seq").write_text(
+            TestDeltaCap.SEQ.replace("delta x2 = x2 & <(x0, x1)", self.DEEP))
+        assert main(["indiscernible", "s.seq", "--out", "n.cert"]) == 3
+        assert "nests deeper than" in capsys.readouterr().err
+        assert not (tmp_path / "n.cert").exists()
+
+    def test_verify_exits_three(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_orders(tmp_path, 4, 2)
+        (tmp_path / "s.seq").write_text(TestDeltaCap.SEQ)
+        assert main(["indiscernible", "s.seq", "--out", "n.cert"]) == 1
+        cert = parse_certificate((tmp_path / "n.cert").read_text())
+        deep = "\n".join(self.DEEP if line.startswith("delta ") else line
+                         for line in cert.section("sequence").splitlines())
+        sections = tuple((name, deep if name == "sequence" else text)
+                         for name, text in cert.sections)
+        write_certificate(dataclasses.replace(cert, sections=sections),
+                          str(tmp_path / "n.cert"))
+        capsys.readouterr()
+        assert main(["verify", "n.cert"]) == 3
+        assert "nests deeper than" in capsys.readouterr().err
+
+
+def test_an_argument_that_is_not_utf8_exits_three(tmp_path, monkeypatch,
+                                                   capsys):
+    # the command line goes into the certificate, which is UTF-8 text; a
+    # file name holding the byte 0xff reaches argv as a lone surrogate
+    monkeypatch.chdir(tmp_path)
+    (lo2,) = write_orders(tmp_path, 2)
+    name = "lo\udcff.struct"
+    os.rename(lo2, name)
+    assert main(["elf", name, "--tuple", "0", "--out", "e.cert"]) == 3
+    assert "arguments must be UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "e.cert").exists()
+    os.rename(name, lo2)
+    assert main(["elf", lo2, "--tuple", "0", "--out", "e.cert"]) == 0
 
 
 def test_an_error_in_a_referenced_file_names_it(tmp_path, monkeypatch,
