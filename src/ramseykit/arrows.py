@@ -14,12 +14,13 @@ host realizing a fixed quantifier-free type); :func:`build_instance`
 picks one by name.  Every instance, joint ones too, has one member
 rule: the members of a B-copy b are the copies b∘f, f in one list of
 position tuples (binom(B, A), or the positions of the A-copies inside
-the first subset B-copy).  :func:`check_instance` is the only entry to
-the search, so every FAILS is re-verified in one place.  Over single
-and joint colorings alike, one seeded sampler draws for sample mode and
-one seeded local search looks for a refutation once refute mode's
-complete search has spent half its budget.  All results carry enough
-state to re-verify certificates without re-running any search.
+the first subset B-copy).  One driver, :func:`_run`, is the only run
+path: :func:`check_instance` enters it with one part and
+:func:`joint_arrow_check` with one part per pattern, and each re-verifies
+every FAILS it gets back.  In it one seeded sampler draws for sample
+mode, and one seeded local search looks for a refutation once refute
+mode's complete searches have spent half the budget.  All results carry
+enough state to re-verify certificates without re-running any search.
 """
 
 from __future__ import annotations
@@ -485,17 +486,52 @@ class ArrowResult:
         return dict(self.stats).get(key, 0)
 
 
-def _colors_to_coloring(instance: ArrowInstance, colors) -> Coloring:
-    return Coloring(instance.r, tuple(zip(instance.copy_keys, colors)))
+def _run(nb: int, members, sizes, rs, caps, mode: str, seed: int, budget,
+         samples: int):
+    """The one run of :func:`check_instance` (one part) and
+    :func:`joint_arrow_check` (a part per pattern) over :func:`_sample`'s
+    parts.  Sample mode only samples.  Else each part's complete search
+    runs on the whole budget (decide) or an even share of its first half
+    (refute); a part past its cap on every B-copy refutes the run, the
+    other parts taking color 0, and exhaustion holds only with one part.
+    If that settles nothing, refute mode's local search gets the rest of
+    the budget, with no step limit when there is no budget.
 
+    Returns the verdict, one color list per part or None, each search's
+    stats, the other stats, and the first good B-copy of the first draw
+    when sampling ends INCONCLUSIVE.
+    """
+    if mode == "sample":
+        stats = {"samples": samples}
+        colors, stats["witnessed"], good = _sample(nb, members, sizes, rs, caps,
+                                                   seed, samples)
+        if colors is not None:
+            return FAILS, colors, [], stats, None
+        return INCONCLUSIVE, None, [], stats, good
 
-def _split_budget(budget):
-    """A refute run's DFS node budget and local-search step budget: half
-    each, and with no budget an unbounded DFS (which always settles) and
-    unbounded steps."""
-    if budget is None:
-        return None, sys.maxsize
-    return budget // 2, budget - budget // 2
+    k = len(sizes)
+    if mode == "refute" and budget is not None:
+        nodes, steps = budget // 2 // max(k, 1), budget - budget // 2
+    else:
+        nodes, steps = budget, sys.maxsize
+    stats = {}
+    searches = []
+    for p in range(k):
+        colors, search, done = _search_bad_coloring(members[p], sizes[p], rs[p],
+                                                    caps[p], nodes)
+        searches.append(search)
+        if colors is not None:
+            padded = [[0] * n for n in sizes]
+            padded[p] = colors
+            return FAILS, padded, searches, stats, None
+    if k == 1 and done:
+        return HOLDS, None, searches, stats, None
+    if mode == "refute":
+        colors, stats["steps"] = _refute_by_local_search(nb, members, sizes, rs,
+                                                         caps, seed, steps)
+        if colors is not None:
+            return FAILS, colors, searches, stats, None
+    return INCONCLUSIVE, None, searches, stats, None
 
 
 def check_instance(instance: ArrowInstance, mode: str = "decide", *, d: int = 1,
@@ -521,36 +557,17 @@ def check_instance(instance: ArrowInstance, mode: str = "decide", *, d: int = 1,
         raise ArrowError("degree cap must be positive")
     if samples < 0:
         raise ArrowError("samples must be non-negative")
-    ncopies = len(instance.copy_keys)
-    parts = ((instance.members,), (ncopies,), (instance.r,), (d,))
-
-    def result(verdict, stats, colors=None) -> ArrowResult:
-        coloring = None
-        if colors is not None:
-            coloring = _colors_to_coloring(instance, colors)
-            if not coloring_refutes(instance, coloring, d):
-                raise AssertionError("search produced a coloring that does not re-verify")
-        return ArrowResult(verdict, mode, d, seed, budget,
-                           tuple(sorted(stats.items())), coloring, instance)
-
-    if mode == "sample":
-        stats = {"samples": samples}
-        drawn, stats["witnessed"], _ = _sample(len(instance.members), *parts,
-                                               seed, samples)
-        if drawn is not None:
-            return result(FAILS, stats, drawn[0])
-        return result(INCONCLUSIVE, stats)
-
-    nodes, steps = _split_budget(budget) if mode == "refute" else (budget, 0)
-    colors, stats, exhausted = _search_bad_coloring(
-        instance.members, ncopies, instance.r, d, nodes)
-    if colors is None and not exhausted and mode == "refute":
-        drawn, stats["steps"] = _refute_by_local_search(
-            len(instance.members), *parts, seed, steps)
-        colors = None if drawn is None else drawn[0]
+    verdict, colors, searches, stats, _ = _run(
+        len(instance.members), (instance.members,), (len(instance.copy_keys),),
+        (instance.r,), (d,), mode, seed, budget, samples)
+    stats.update(*searches)  # nodes, prunes and early_exit of the search, if it ran
+    coloring = None
     if colors is not None:
-        return result(FAILS, stats, colors)
-    return result(HOLDS if exhausted else INCONCLUSIVE, stats)
+        coloring = Coloring(instance.r, tuple(zip(instance.copy_keys, colors[0])))
+        if not coloring_refutes(instance, coloring, d):
+            raise AssertionError("search produced a coloring that does not re-verify")
+    return ArrowResult(verdict, mode, d, seed, budget, tuple(sorted(stats.items())),
+                       coloring, instance)
 
 
 def arrow_check(C: Structure, B: Structure, A: Structure, r: int,
@@ -707,14 +724,14 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
     leaving no B-copy good for all patterns at once, else INCONCLUSIVE
     with the first draw's first good B-copy as ``witness_key``.  Stats:
     ``samples``, and ``witnessed`` for the draws before the bad one.
-    refute: first runs each pattern's complete search on half the budget
-    (stat ``nodes_<p>``; one pattern coloring past its cap on every
-    B-copy refutes the joint statement on its own); with one pattern
-    this collapses to the plain check, so exhaustion there upgrades to
-    HOLDS; else the seeded local search of refute mode looks for a
-    coloring tuple on the other half (stat ``steps``).  With no budget
-    the local search has no step limit, so on a joint arrow of several
-    patterns that holds it does not return.
+    refute: first runs each pattern's complete search, the k searches
+    sharing the first half of the budget evenly (stat ``nodes_<p>``; one
+    pattern coloring past its cap on every B-copy refutes the joint
+    statement on its own); with one pattern this collapses to the plain
+    check, so exhaustion there upgrades to HOLDS; else the seeded local
+    search of refute mode looks for a coloring tuple on the other half
+    (stat ``steps``).  With no budget the local search has no step limit,
+    so on a joint arrow of several patterns that holds it does not return.
     """
     patterns = list(patterns)
     rs = [2] * len(patterns) if rs is None else list(rs)
@@ -727,54 +744,22 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
     instance = joint_instance(C, B, patterns, rs, ds)
     nb = len(instance.bcopy_keys)
     sizes = [len(pc) for pc in instance.pattern_copies]
-    stats: dict[str, int] = {}
-
-    def result(verdict, per_pattern_colors=None, good=None) -> JointArrowResult:
-        colorings = None
-        if per_pattern_colors is not None:
-            if _first_good_bcopy(nb, instance.pattern_members, ds,
-                                 per_pattern_colors) is not None:
-                raise AssertionError("search produced colorings that do not re-verify")
-            colorings = tuple(
-                Coloring(rs[p], tuple(zip(instance.pattern_copies[p],
-                                          per_pattern_colors[p])))
-                for p in range(len(patterns)))
-        return JointArrowResult(verdict, mode, seed, tuple(sorted(stats.items())),
-                                None if good is None else instance.bcopy_keys[good],
-                                colorings, instance)
-
-    if nb == 0:
-        return result(FAILS, [[0] * n for n in sizes])
-
-    if mode == "sample":
-        stats["samples"] = samples
-        drawn, stats["witnessed"], good = _sample(
-            nb, instance.pattern_members, sizes, rs, ds, seed, samples)
-        if drawn is not None:
-            return result(FAILS, drawn)
-        return result(INCONCLUSIVE, good=good)
-
-    nodes, steps = _split_budget(budget)
-    exhausted_all = True
-    for p in range(len(patterns)):
-        res = check_instance(
-            ArrowInstance("embedding", rs[p], instance.pattern_copies[p],
-                          instance.bcopy_keys, instance.pattern_members[p]),
-            "decide", d=ds[p], budget=nodes)
-        stats[f"nodes_{p}"] = res.stat("nodes")
-        if res.verdict == FAILS:
-            # this pattern alone breaks every B-copy; pad the others
-            tuple_colors = [[0] * n for n in sizes]
-            tuple_colors[p] = [c for _, c in res.coloring.assignments]
-            return result(FAILS, tuple_colors)
-        exhausted_all = exhausted_all and res.verdict == HOLDS
-    if exhausted_all and len(patterns) == 1:
-        return result(HOLDS)
-    drawn, stats["steps"] = _refute_by_local_search(
-        nb, instance.pattern_members, sizes, rs, ds, seed, steps)
-    if drawn is not None:
-        return result(FAILS, drawn)
-    return result(INCONCLUSIVE)
+    if nb == 0:  # no B-copies: every coloring tuple is vacuously bad
+        verdict, colors, searches, stats, good = (
+            FAILS, [[0] * n for n in sizes], [], {}, None)
+    else:
+        verdict, colors, searches, stats, good = _run(
+            nb, instance.pattern_members, sizes, rs, ds, mode, seed, budget, samples)
+    stats.update((f"nodes_{p}", search["nodes"]) for p, search in enumerate(searches))
+    colorings = None
+    if colors is not None:
+        if _first_good_bcopy(nb, instance.pattern_members, ds, colors) is not None:
+            raise AssertionError("search produced colorings that do not re-verify")
+        colorings = tuple(Coloring(r, tuple(zip(keys, cs)))
+                          for r, keys, cs in zip(rs, instance.pattern_copies, colors))
+    return JointArrowResult(verdict, mode, seed, tuple(sorted(stats.items())),
+                            None if good is None else instance.bcopy_keys[good],
+                            colorings, instance)
 
 
 @dataclass(frozen=True)

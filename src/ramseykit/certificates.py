@@ -271,6 +271,10 @@ def _replay_joint(cert: Certificate, report: ReplayReport) -> None:
         per_pattern = []
         for p in range(len(patterns)):
             coloring = decode_coloring(rs[p], cert.payload_values(f"color{p}"))
+            if set(coloring.keys()) != set(instance.pattern_copies[p]):
+                report.fail(f"coloring {p} is not defined on exactly the "
+                            f"copies of pattern {p}")
+                return
             per_pattern.append([coloring.color_of(key)
                                 for key in instance.pattern_copies[p]])
         good = arrows._first_good_bcopy(len(instance.bcopy_keys),

@@ -395,6 +395,24 @@ class TestRefuteMode:
         assert joint_arrow_check(linear_order(n), linear_order(b), patterns, rs,
                                  ds, "refute", seed=seed, budget=budget) == res
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 9), b=st.integers(2, 4),
+           parts=st.lists(st.tuples(st.integers(1, 3), st.integers(2, 3),
+                                    st.integers(1, 2)), min_size=2, max_size=3),
+           budget=st.integers(0, 3000), seed=st.integers(0, 2**16))
+    @example(n=10, b=3, parts=[(2, 3, 1)] * 3, budget=1000, seed=0)
+    def test_joint_refute_keeps_to_its_budget(self, n, b, parts, budget, seed):
+        # the k pattern searches share the first half of the budget, and
+        # each may pass its share by the one node that stops it
+        b = min(b, n)
+        patterns = [linear_order(min(a, b)) for a, _, _ in parts]
+        res = joint_arrow_check(linear_order(n), linear_order(b), patterns,
+                                [r for _, r, _ in parts], [d for _, _, d in parts],
+                                "refute", seed=seed, budget=budget)
+        spent = sum(v for key, v in res.stats
+                    if key.startswith("nodes_") or key == "steps")
+        assert spent <= budget + len(parts)
+
     @pytest.mark.parametrize("n,b,a,r", [(10, 3, 2, 3), (8, 4, 3, 2)])
     @pytest.mark.parametrize("seed", range(3))
     def test_local_search_refutes_what_the_search_leaves_open(self, n, b, a, r,
@@ -593,15 +611,24 @@ class TestJointArrows:
             joint_instance(linear_order(4), linear_order(2),
                            [linear_order(3)], (2,), (1,))
 
-    def test_one_pattern_joint_sample_draws_the_single_arrow_coloring(self):
-        C, B, A = linear_order(4), linear_order(3), linear_order(2)
-        for seed in range(5):
-            joint = joint_arrow_check(C, B, [A], rs=[2], mode="sample",
-                                      seed=seed, samples=50)
-            single = check_instance(arrow_instance(C, B, A, 2), "sample",
-                                    seed=seed, samples=50)
-            assert joint.verdict == single.verdict == FAILS
-            assert joint.colorings == (single.coloring,)
+    @pytest.mark.parametrize("mode", ["sample", "refute"])
+    def test_one_pattern_joint_run_is_the_single_run(self, mode):
+        # LO_5 -> (LO_3)^LO_2_2 fails and LO_6 -> (LO_3)^LO_2_2 holds after
+        # 493 nodes, so small budgets leave the local search to run
+        B, A = linear_order(3), linear_order(2)
+        for n, budget, seed in itertools.product((4, 5, 6), (0, 7, 60, 2000),
+                                                 range(3)):
+            C = linear_order(n)
+            joint = joint_arrow_check(C, B, [A], rs=[2], mode=mode, seed=seed,
+                                      samples=50, budget=budget)
+            single = check_instance(arrow_instance(C, B, A, 2), mode,
+                                    seed=seed, samples=50, budget=budget)
+            assert joint.verdict == single.verdict
+            assert joint.colorings == (None if single.coloring is None
+                                       else (single.coloring,))
+            assert dict(joint.stats).get("nodes_0") == dict(single.stats).get("nodes")
+            for key in ("steps", "samples", "witnessed"):
+                assert dict(joint.stats).get(key) == dict(single.stats).get(key)
 
     def test_zero_patterns_witness_the_first_bcopy(self):
         res = joint_arrow_check(linear_order(4), linear_order(2), [], rs=[],

@@ -545,6 +545,27 @@ class TestErrorsAndVerify:
         resign(tmp_path / "j.cert", "ds 1", "ds 1,1")
         assert main(["verify", "j.cert"]) == 3
 
+    @pytest.mark.parametrize("forge", ["extra-key", "missing-key"])
+    def test_joint_coloring_must_cover_exactly_the_pattern_copies(
+            self, tmp_path, monkeypatch, capsys, forge):
+        # as for a single arrow, whose replay compares key sets: an extra
+        # key once passed replay, and a missing one ended in exit 3
+        monkeypatch.chdir(tmp_path)
+        lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+        assert main(["joint-arrow", lo5, lo3, lo2, "--colors", "2",
+                     "--mode", "refute", "--out", "j.cert"]) == 1
+        cert = parse_certificate((tmp_path / "j.cert").read_text())
+        payload = list(cert.payload)
+        if forge == "extra-key":
+            payload.append("color0 0,9 1")
+        else:
+            payload.remove("color0 0,1 0")
+        write_certificate(dataclasses.replace(cert, payload=tuple(payload)),
+                          "j.cert")
+        capsys.readouterr()
+        assert main(["verify", "j.cert"]) == 1
+        assert "coloring 0 is not defined on exactly" in capsys.readouterr().out
+
     def test_failed_replay_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         from test_certificates import arrow_cert
