@@ -17,10 +17,10 @@ position tuples (binom(B, A), or the positions of the A-copies inside
 the first subset B-copy).  One driver, :func:`_run`, is the only run
 path: :func:`check_instance` enters it with one part and
 :func:`joint_arrow_check` with one part per pattern, and each re-verifies
-every FAILS it gets back.  In it one seeded sampler draws for sample
-mode, and one seeded local search looks for a refutation once refute
-mode's complete searches have spent half the budget.  All results carry
-enough state to re-verify certificates without re-running any search.
+every FAILS it gets back.  It runs over the parts that some coloring
+can take past their cap.  One seeded sampler draws for sample mode, and
+one seeded local search refutes with what refute mode's budget leaves.
+All results carry enough state to re-verify certificates with no search.
 """
 
 from __future__ import annotations
@@ -486,52 +486,60 @@ class ArrowResult:
         return dict(self.stats).get(key, 0)
 
 
+def _live_parts(members, rs, caps) -> list[int]:
+    """The parts p where some coloring takes a B-copy past ``caps[p]``:
+    ``rs[p] > caps[p]`` and some member list is longer than ``caps[p]``."""
+    return [p for p, (mem, r, cap) in enumerate(zip(members, rs, caps))
+            if r > cap and any(len(m) > cap for m in mem)]
+
+
 def _run(nb: int, members, sizes, rs, caps, mode: str, seed: int, budget,
          samples: int):
     """The one run of :func:`check_instance` (one part) and
     :func:`joint_arrow_check` (a part per pattern) over :func:`_sample`'s
-    parts.  Sample mode only samples.  Else each part's complete search
-    runs on the whole budget (decide) or an even share of its first half
-    (refute); a part past its cap on every B-copy refutes the run, the
-    other parts taking color 0, and exhaustion holds only with one part.
-    If that settles nothing, refute mode's local search gets the rest of
-    the budget, with no step limit when there is no budget.
+    parts.  Sample mode only samples.  Else only the live parts run, dead
+    ones keeping color 0 (a single arrow is always its one live part): with
+    none the run holds (fails with no B-copy); a lone one's complete search
+    runs on the whole budget (decide) or its first half (refute), and its
+    exhaustion holds.  Refute mode's local search then gets what is left,
+    all of it over several live parts, and no step limit without a budget.
 
-    Returns the verdict, one color list per part or None, each search's
-    stats, the other stats, and the first good B-copy of the first draw
-    when sampling ends INCONCLUSIVE.
+    Returns the verdict, one color list per part or None, the searched
+    part's stats by its index, the other stats, and the first good B-copy
+    of the first draw when sampling ends INCONCLUSIVE.
     """
     if mode == "sample":
         stats = {"samples": samples}
         colors, stats["witnessed"], good = _sample(nb, members, sizes, rs, caps,
                                                    seed, samples)
         if colors is not None:
-            return FAILS, colors, [], stats, None
-        return INCONCLUSIVE, None, [], stats, good
+            return FAILS, colors, {}, stats, None
+        return INCONCLUSIVE, None, {}, stats, good
 
-    k = len(sizes)
-    if mode == "refute" and budget is not None:
-        nodes, steps = budget // 2 // max(k, 1), budget - budget // 2
-    else:
-        nodes, steps = budget, sys.maxsize
-    stats = {}
-    searches = []
-    for p in range(k):
-        colors, search, done = _search_bad_coloring(members[p], sizes[p], rs[p],
-                                                    caps[p], nodes)
-        searches.append(search)
-        if colors is not None:
-            padded = [[0] * n for n in sizes]
-            padded[p] = colors
-            return FAILS, padded, searches, stats, None
-    if k == 1 and done:
-        return HOLDS, None, searches, stats, None
-    if mode == "refute":
-        colors, stats["steps"] = _refute_by_local_search(nb, members, sizes, rs,
-                                                         caps, seed, steps)
-        if colors is not None:
-            return FAILS, colors, searches, stats, None
-    return INCONCLUSIVE, None, searches, stats, None
+    live = [0] if len(sizes) == 1 else _live_parts(members, rs, caps)
+    searches, stats = {}, {}
+    if not live:
+        return (HOLDS, None, searches, stats, None) if nb else (
+            FAILS, [[0] * n for n in sizes], searches, stats, None)
+    parts = [[part[p] for p in live] for part in (members, sizes, rs, caps)]
+    found, steps = None, sys.maxsize if budget is None else budget
+    if len(live) == 1:
+        nodes = budget // 2 if mode == "refute" and budget is not None else budget
+        found, searches[live[0]], done = _search_bad_coloring(
+            *(part[0] for part in parts), nodes)
+        if done:
+            return HOLDS, None, searches, stats, None
+        found = None if found is None else [found]
+        if budget is not None:
+            steps -= nodes
+    if found is None and mode == "refute":
+        found, stats["steps"] = _refute_by_local_search(nb, *parts, seed, steps)
+    if found is None:
+        return INCONCLUSIVE, None, searches, stats, None
+    colors = [[0] * n for n in sizes]
+    for p, cs in zip(live, found):
+        colors[p] = cs
+    return FAILS, colors, searches, stats, None
 
 
 def check_instance(instance: ArrowInstance, mode: str = "decide", *, d: int = 1,
@@ -560,7 +568,7 @@ def check_instance(instance: ArrowInstance, mode: str = "decide", *, d: int = 1,
     verdict, colors, searches, stats, _ = _run(
         len(instance.members), (instance.members,), (len(instance.copy_keys),),
         (instance.r,), (d,), mode, seed, budget, samples)
-    stats.update(*searches)  # nodes, prunes and early_exit of the search, if it ran
+    stats.update(*searches.values())  # nodes, prunes and early_exit, if it ran
     coloring = None
     if colors is not None:
         coloring = Coloring(instance.r, tuple(zip(instance.copy_keys, colors[0])))
@@ -650,22 +658,17 @@ def ramsey_degree_upper_probe(A: Structure, B: Structure, candidates,
 
     checked = []
     for C in candidates:
-        name = C.name or f"size{C.size}"
         per_r = []
-        all_hold = True
-        inconclusive = False
-        for r in range(d + 1, r_cap + 1):
+        for r in range(d + 1, r_cap + 1):  # r_cap > d: at least one round
             verdict = check_instance(arrow_instance(C, B, A, r), "decide",
                                      d=d, budget=budget).verdict
             per_r.append((r, verdict))
             if verdict != HOLDS:
-                all_hold = False
-                inconclusive = verdict == INCONCLUSIVE
                 break
-        checked.append((name, C.size, tuple(per_r)))
-        if all_hold:
+        checked.append((C.name or f"size{C.size}", C.size, tuple(per_r)))
+        if verdict == HOLDS:
             return DegreeBounds(lower, d, r_cap, "WITNESS", C, tuple(checked))
-        if inconclusive:
+        if verdict == INCONCLUSIVE:
             break
     return DegreeBounds(lower, d, r_cap, "INCONCLUSIVE", None, tuple(checked))
 
@@ -724,14 +727,11 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
     leaving no B-copy good for all patterns at once, else INCONCLUSIVE
     with the first draw's first good B-copy as ``witness_key``.  Stats:
     ``samples``, and ``witnessed`` for the draws before the bad one.
-    refute: first runs each pattern's complete search, the k searches
-    sharing the first half of the budget evenly (stat ``nodes_<p>``; one
-    pattern coloring past its cap on every B-copy refutes the joint
-    statement on its own); with one pattern this collapses to the plain
-    check, so exhaustion there upgrades to HOLDS; else the seeded local
-    search of refute mode looks for a coloring tuple on the other half
-    (stat ``steps``).  With no budget the local search has no step limit,
-    so on a joint arrow of several patterns that holds it does not return.
+    refute: :func:`_run` over the live patterns, dead ones keeping color
+    0: HOLDS with none, the one live pattern's single refute run (stats
+    ``nodes_<p>``, ``steps``), else the local search on the whole budget.
+    With no budget it has no step limit, so it does not return on a joint
+    arrow of several live patterns that holds.
     """
     patterns = list(patterns)
     rs = [2] * len(patterns) if rs is None else list(rs)
@@ -746,11 +746,11 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
     sizes = [len(pc) for pc in instance.pattern_copies]
     if nb == 0:  # no B-copies: every coloring tuple is vacuously bad
         verdict, colors, searches, stats, good = (
-            FAILS, [[0] * n for n in sizes], [], {}, None)
+            FAILS, [[0] * n for n in sizes], {}, {}, None)
     else:
         verdict, colors, searches, stats, good = _run(
             nb, instance.pattern_members, sizes, rs, ds, mode, seed, budget, samples)
-    stats.update((f"nodes_{p}", search["nodes"]) for p, search in enumerate(searches))
+    stats.update((f"nodes_{p}", search["nodes"]) for p, search in searches.items())
     colorings = None
     if colors is not None:
         if _first_good_bcopy(nb, instance.pattern_members, ds, colors) is not None:

@@ -285,6 +285,19 @@ def _replay_joint(cert: Certificate, report: ReplayReport) -> None:
                        "monochromatic for all patterns at once")
         else:
             report.fail(f"target copy {good} is jointly monochromatic")
+    elif cert.verdict == "HOLDS":
+        live = arrows._live_parts(instance.pattern_members, rs, ds)
+        if not instance.bcopy_keys:
+            report.fail("with no target copy every coloring refutes the arrow")
+        elif not live:
+            report.add("HOLDS re-verified: no pattern can take a target copy "
+                       "past its cap")
+        elif len(live) == 1:
+            report.add(f"HOLDS records pattern {live[0]}'s exhaustive search; "
+                       "replay checks instance arithmetic only")
+        else:
+            report.fail(f"patterns {', '.join(map(str, live))} can all leave "
+                        "their caps; a joint run holds with one such at most")
     else:
         report.add(f"{cert.verdict} records a search outcome; replay checks "
                    "instance arithmetic only")
@@ -345,6 +358,20 @@ def _replay_expand(cert: Certificate, report: ReplayReport) -> None:
     M = parse_structure_file(cert.section("input"))
     k = cert.payload_int("k")
     out = parse_structure_file(cert.section("output"))
+    # every m-tuple realizes one type, so the type predicates of arity
+    # m <= k hold n + n^2 + ... + n^k tuples; checking that first bounds
+    # the recomputation by the rows the certificate itself holds
+    if out.size != M.size:
+        raise CertificateError("the recorded output is not on the input's domain")
+    rows = sum(len(out.rel_tuples(sym)) for sym in out.signature.relation_names
+               if sym not in M.signature.relation_names)
+    total, power, m = 0, 1, 0
+    while M.size and m < k and total <= rows:
+        m, power = m + 1, power * M.size
+        total += power
+    if total != rows:
+        raise CertificateError(f"the type predicates hold {rows} tuples, not one "
+                               f"per tuple of arity 1..{k}")
     fresh = (qf_type_morleyisation(M, k) if cert.kind == "expand"
              else isolator(M, k))
     if fresh == out:
@@ -409,8 +436,17 @@ def _replay_generate(cert: Certificate, report: ReplayReport) -> None:
     if family not in GENERATORS:
         raise CertificateError(f"no class family {family!r}")
     bound = cert.payload_int("upto")
+    # in every family the largest member has ``upto`` points; the recorded
+    # text, which the regenerated one must equal, is checked for that
+    # before generating, so the work stays bounded by the certificate
+    recorded = cert.section("class")
+    sizes = [read_natural(line[len("domain "):], "domain")
+             for line in recorded.splitlines() if line.startswith("domain ")]
+    if max(sizes, default=0) != bound:
+        raise CertificateError(f"the recorded class has no largest member of "
+                               f"{bound} points")
     fresh = serialize_class(GENERATORS[family](bound), name=family)
-    if fresh == cert.section("class"):
+    if fresh == recorded:
         report.add(f"{family} regenerated up to {bound}: identical bytes")
     else:
         report.fail("regenerated class differs from the recorded one")

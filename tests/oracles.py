@@ -163,6 +163,21 @@ def oracle_arrow_holds(C: Structure, B: Structure, A: Structure, r: int,
     return True
 
 
+def oracle_joint_holds(nb: int, members, sizes, rs, caps) -> bool:
+    """Try every tuple of colorings, one per part: the joint arrow holds
+    when each leaves some B-copy within ``caps[p]`` colors in every part p.
+    With no B-copy it fails."""
+    if nb == 0:
+        return False
+    parts = range(len(sizes))
+    for colors in itertools.product(*(itertools.product(range(r), repeat=n)
+                                      for n, r in zip(sizes, rs))):
+        if not any(all(len({colors[p][ci] for ci in members[p][bi]}) <= caps[p]
+                       for p in parts) for bi in range(nb)):
+            return False
+    return True
+
+
 def oracle_search_bad_coloring(members, ncopies: int, r: int, d: int, budget):
     """Reference for ``arrows._search_bad_coloring``: the same DFS written
     with closures, which tests every B-copy through a copy for being one

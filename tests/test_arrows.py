@@ -16,13 +16,15 @@ from ramseykit import (FAILS, HOLDS, INCONCLUSIVE, ArrowError, ArrowInstance,
                        ramsey_degree_lower, ramsey_degree_upper_probe,
                        render_cnf, subset_arrow_instance,
                        term_iteration_coloring)
-from ramseykit.arrows import (_first_good_bcopy, _refute_by_local_search,
+from ramseykit.arrows import (_first_good_bcopy, _live_parts,
+                              _refute_by_local_search, _run,
                               _search_bad_coloring, build_instance)
 
 from conftest import (FN_SIG, binary_structures, functional_structures,
                       graph)
 from oracles import (oracle_arrow_holds, oracle_first_bad_draw,
-                     oracle_search_bad_coloring, oracle_subset_members)
+                     oracle_joint_holds, oracle_search_bad_coloring,
+                     oracle_subset_members)
 
 
 def successor_chain(n):
@@ -296,14 +298,14 @@ def refute_inputs(draw):
 
 
 @st.composite
-def joint_parts(draw):
-    """One to three parts sharing up to 6 B-copies: copy counts, color
-    counts in 2..3, caps in 1..2 and member lists, then a step budget and
-    a seed."""
+def joint_parts(draw, min_parts=1, max_copies=5):
+    """``min_parts`` to three parts sharing up to 6 B-copies: copy counts
+    up to ``max_copies``, color counts in 2..3, caps in 1..2 and member
+    lists, then a step budget and a seed."""
     nb = draw(st.integers(0, 6))
     sizes, rs, caps, members = [], [], [], []
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(1, 5))
+    for _ in range(draw(st.integers(min_parts, 3))):
+        n = draw(st.integers(1, max_copies))
         sizes.append(n)
         rs.append(draw(st.integers(2, 3)))
         caps.append(draw(st.integers(1, 2)))
@@ -386,12 +388,17 @@ class TestRefuteMode:
             assert _first_good_bcopy(len(inst.bcopy_keys), inst.pattern_members,
                                      ds, colors) is None
         if res.verdict == HOLDS:
-            single = ArrowInstance("embedding", rs[0], inst.pattern_copies[0],
-                                   inst.bcopy_keys, inst.pattern_members[0])
-            assert len(patterns) == 1
-            assert check_instance(single, "decide", d=d,
-                                  budget=budget // 2).verdict == HOLDS
-        assert dict(res.stats).get("steps", 0) <= budget - budget // 2
+            # no live pattern, or one whose search exhausts on its half
+            live = _live_parts(inst.pattern_members, rs, ds)
+            assert inst.bcopy_keys and len(live) <= 1
+            for p in live:
+                single = ArrowInstance("embedding", rs[p], inst.pattern_copies[p],
+                                       inst.bcopy_keys, inst.pattern_members[p])
+                assert check_instance(single, "decide", d=d,
+                                      budget=budget // 2).verdict == HOLDS
+        searched = any(key.startswith("nodes_") for key, _ in res.stats)
+        assert dict(res.stats).get("steps", 0) <= (
+            budget - budget // 2 if searched else budget)
         assert joint_arrow_check(linear_order(n), linear_order(b), patterns, rs,
                                  ds, "refute", seed=seed, budget=budget) == res
 
@@ -402,8 +409,8 @@ class TestRefuteMode:
            budget=st.integers(0, 3000), seed=st.integers(0, 2**16))
     @example(n=10, b=3, parts=[(2, 3, 1)] * 3, budget=1000, seed=0)
     def test_joint_refute_keeps_to_its_budget(self, n, b, parts, budget, seed):
-        # the k pattern searches share the first half of the budget, and
-        # each may pass its share by the one node that stops it
+        # at most one pattern's search runs, and it may pass its half of
+        # the budget by the one node that stops it
         b = min(b, n)
         patterns = [linear_order(min(a, b)) for a, _, _ in parts]
         res = joint_arrow_check(linear_order(n), linear_order(b), patterns,
@@ -411,7 +418,20 @@ class TestRefuteMode:
                                 "refute", seed=seed, budget=budget)
         spent = sum(v for key, v in res.stats
                     if key.startswith("nodes_") or key == "steps")
-        assert spent <= budget + len(parts)
+        assert spent <= budget + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(joint_parts(min_parts=0, max_copies=3))  # every coloring tuple tried
+    def test_joint_run_is_sound_against_brute_force(self, args):
+        nb, members, sizes, rs, caps, budget, seed = args
+        verdict, colors, _, _, _ = _run(nb, members, sizes, rs, caps, "refute",
+                                        seed, budget, 0)
+        if verdict == HOLDS:
+            assert oracle_joint_holds(nb, members, sizes, rs, caps)
+        if verdict == FAILS:
+            assert [len(c) for c in colors] == list(sizes)
+            assert all(0 <= c < r for cs, r in zip(colors, rs) for c in cs)
+            assert _first_good_bcopy(nb, members, caps, colors) is None
 
     @pytest.mark.parametrize("n,b,a,r", [(10, 3, 2, 3), (8, 4, 3, 2)])
     @pytest.mark.parametrize("seed", range(3))
@@ -629,6 +649,44 @@ class TestJointArrows:
             assert dict(joint.stats).get("nodes_0") == dict(single.stats).get("nodes")
             for key in ("steps", "samples", "witnessed"):
                 assert dict(joint.stats).get(key) == dict(single.stats).get(key)
+
+    @pytest.mark.parametrize("patterns,ds,live", [
+        ((2, 3), (1, 1), 0),  # LO_3 has one copy in each B-copy
+        ((3, 2), (1, 1), 1),
+        ((1, 2), (2, 1), 1),  # LO_1 has 3 copies in each B-copy, but r = cap
+    ])
+    def test_one_live_pattern_joint_run_is_its_single_run(self, patterns, ds,
+                                                          live):
+        B = linear_order(3)
+        for n, budget, seed in itertools.product((4, 5, 6), (0, 7, 60, 2000),
+                                                 range(3)):
+            C = linear_order(n)
+            joint = joint_arrow_check(C, B, [linear_order(a) for a in patterns],
+                                      [2, 2], ds, "refute", seed=seed,
+                                      budget=budget)
+            single = check_instance(
+                arrow_instance(C, B, linear_order(patterns[live]), 2), "refute",
+                seed=seed, budget=budget)
+            assert joint.verdict == single.verdict
+            if single.coloring is None:
+                assert joint.colorings is None
+            else:
+                assert joint.colorings[live] == single.coloring
+                dead = joint.colorings[1 - live]
+                assert {c for _, c in dead.assignments} == {0}
+            stats = dict(joint.stats)
+            assert stats.pop(f"nodes_{live}") == single.stat("nodes")
+            assert stats == {k: v for k, v in single.stats if k == "steps"}
+
+    def test_a_dead_pattern_leaves_the_single_arrow_that_holds(self):
+        # LO_8 -> (LO_3)^LO_2_2 holds (R(3,3) = 6), and LO_3 can never leave
+        # cap 1 inside a copy of itself; the local search once spent the
+        # other 500,000 steps and answered INCONCLUSIVE
+        res = joint_arrow_check(linear_order(8), linear_order(3),
+                                [linear_order(2), linear_order(3)], [2, 2],
+                                [1, 1], "refute", seed=4, budget=10**6)
+        assert res.verdict == HOLDS
+        assert dict(res.stats) == {"nodes_0": 6007}
 
     def test_zero_patterns_witness_the_first_bcopy(self):
         res = joint_arrow_check(linear_order(4), linear_order(2), [], rs=[],

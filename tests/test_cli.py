@@ -200,6 +200,41 @@ class TestJointAndDegree:
         assert cert.kind == "joint-arrow" and cert.verdict == "HOLDS"
         assert main(["verify", "j.cert"]) == 0
 
+    def test_a_dead_pattern_leaves_the_single_arrow(self, tmp_path,
+                                                    monkeypatch):
+        # LO_3 can never leave cap 1 inside a copy of itself, so the run is
+        # LO_8 -> (LO_3)^LO_2_2, which holds (R(3,3) = 6)
+        monkeypatch.chdir(tmp_path)
+        lo8, lo3, lo2 = write_orders(tmp_path, 8, 3, 2)
+        assert main(["joint-arrow", lo8, lo3, lo2, lo3, "--colors", "2,2",
+                     "--mode", "refute", "--budget", "1000000", "--seed", "4",
+                     "--out", "j.cert"]) == 0
+        cert = parse_certificate((tmp_path / "j.cert").read_text())
+        assert cert.verdict == "HOLDS" and cert.stats == (("nodes_0", 6007),)
+        assert main(["verify", "j.cert"]) == 0
+
+    def test_joint_holds_with_no_live_pattern_is_re_verified(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        lo4, lo3 = write_orders(tmp_path, 4, 3)
+        assert main(["joint-arrow", lo4, lo3, lo3, lo3, "--colors", "2,2",
+                     "--mode", "refute", "--out", "j.cert"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "j.cert"]) == 0
+        assert "HOLDS re-verified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ground", [5, 2])
+    def test_joint_holds_resigned_over_a_refutation_fails_replay(
+            self, tmp_path, monkeypatch, ground):
+        # two live patterns; and with LO_2 as ground no target copy at all
+        monkeypatch.chdir(tmp_path)
+        lon, lo3, lo1, lo2 = write_orders(tmp_path, ground, 3, 1, 2)
+        assert main(["joint-arrow", lon, lo3, lo1, lo2, "--colors", "2,2",
+                     "--mode", "refute", "--out", "j.cert"]) == 1
+        cert = parse_certificate((tmp_path / "j.cert").read_text())
+        write_certificate(dataclasses.replace(cert, verdict="HOLDS"), "j.cert")
+        assert main(["verify", "j.cert"]) == 1
+
     def test_degree_witness_scan(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         lo3, lo2 = write_orders(tmp_path, 3, 2)

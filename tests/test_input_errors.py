@@ -24,7 +24,7 @@ from ramseykit import (Certificate, FormulaSet, InputError, ParseError,
                        parse_document, parse_formula, replay_certificate,
                        serialize_sequence, serialize_structure,
                        write_certificate)
-from ramseykit import cli
+from ramseykit import certificates, cli
 from ramseykit.cli import main
 
 from conftest import graph
@@ -71,6 +71,55 @@ class TestCertificateInput:
         resign(tmp_path / "g.cert", "family pure-sets", "family nope")
         assert main(["verify", "g.cert"]) == 3
         assert "no class family 'nope'" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_recomputation(self, monkeypatch):
+        """Replay that reaches a recomputation raises instead of running it,
+        so a size check that is missing fails the test, not the memory."""
+        def boom(*args):
+            raise AssertionError("replay recomputed before checking sizes")
+        monkeypatch.setattr(certificates, "qf_type_morleyisation", boom)
+        monkeypatch.setattr(certificates, "isolator", boom)
+        monkeypatch.setattr(certificates, "GENERATORS",
+                            dict.fromkeys(certificates.GENERATORS, boom))
+
+    @pytest.mark.parametrize("kind", ["expand", "isolate"])
+    @pytest.mark.parametrize("forged", ["input", "output", "both"])
+    def test_forged_expansion_domain_exits_three(self, tmp_path, monkeypatch,
+                                                 no_recomputation, kind, forged):
+        monkeypatch.chdir(tmp_path)
+        (lo3,) = write_orders(tmp_path, 3)
+        assert main([kind, lo3, "--k", "2", "--out", "e.cert"]) == 0
+        cert = parse_certificate((tmp_path / "e.cert").read_text())
+        sections = tuple(
+            (label, text.replace("domain 3\n", "domain 1000000\n")
+             if forged in (label, "both") else text)
+            for label, text in cert.sections)
+        assert sections != cert.sections
+        write_certificate(dataclasses.replace(cert, sections=sections), "e.cert")
+        assert main(["verify", "e.cert"]) == 3
+
+    @pytest.mark.parametrize("kind", ["expand", "isolate"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_true_expansions_pass_the_size_check(self, tmp_path, monkeypatch,
+                                                 kind, k):
+        # one type predicate row per tuple: 4, 20 and 84 rows on LO_4
+        monkeypatch.chdir(tmp_path)
+        (lo4,) = write_orders(tmp_path, 4)
+        (tmp_path / "g.struct").write_text(serialize_structure(
+            graph(4, [(0, 1), (1, 2)], name="P3")))
+        for path in (lo4, "g.struct"):
+            assert main([kind, path, "--k", str(k), "--out", "e.cert"]) == 0
+            assert main(["verify", "e.cert"]) == 0
+
+    @pytest.mark.parametrize("family", ["linear-orders", "pure-sets", "graphs",
+                                        "ordered-graphs"])
+    def test_forged_generator_bound_exits_three(self, tmp_path, monkeypatch,
+                                                no_recomputation, family):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", family, "--upto", "3", "--out", "g.cert"]) == 0
+        resign(tmp_path / "g.cert", "upto 3", "upto 1000000000")
+        assert main(["verify", "g.cert"]) == 3
 
     @pytest.mark.parametrize("line", ["stat: nodes=x", "stat: nodes",
                                       "stat: nodes=-1"])
