@@ -200,16 +200,10 @@ def _search_bad_coloring(members, ncopies: int, r: int, d: int, budget):
     one flat list, ``r + 1`` slots from offset ``bi * (r + 1)``.
     ``touch[ci][c]`` holds the color-c slots of the B-copies containing
     ci, ``closing[ci]`` the distinct slots of the B-copies it closes.
+    It needs some B-copy, r > d and every list longer than d (:func:`_settled`).
     """
     stats = {"nodes": 0, "prunes": 0, "early_exit": 0}
     nb = len(members)
-    if nb == 0:
-        # no B-copies at all: every coloring is vacuously bad
-        return [0] * ncopies, stats, False
-    if r <= d or min(len(m) for m in members) <= d:
-        # some B-copy can never show more than d colors
-        return None, stats, True
-
     stride = r + 1
     offsets: list[list[int]] = [[] for _ in range(ncopies)]
     closing: list[list[int]] = [[] for _ in range(ncopies)]
@@ -346,12 +340,10 @@ def _refute_by_local_search(nb: int, members, sizes, rs, caps, seed: int,
     c's count sits ``r - c`` slots before the distinct slot.  ``over[bi]``
     counts the parts in which B-copy bi is past its cap, so bi is a
     conflict iff it is 0.  Recoloring g can change that only where g's
-    part has exactly cap or cap + 1 distinct colors.
+    part has exactly cap or cap + 1 distinct colors.  :func:`_run` calls
+    it past :func:`_settled`: every B-copy can leave its cap in some part.
     """
     parts = range(len(sizes))
-    if any(all(rs[p] <= caps[p] or len(members[p][bi]) <= caps[p] for p in parts)
-           for bi in range(nb)):
-        return None, 0  # some B-copy can never leave its caps
     rng = random.Random(seed)
     first = [sum(sizes[:p]) for p in parts]
     var_r = [rs[p] for p in parts for _ in range(sizes[p])]
@@ -493,13 +485,25 @@ def _live_parts(members, rs, caps) -> list[int]:
             if r > cap and any(len(m) > cap for m in mem)]
 
 
+def _settled(nb: int, members, rs, caps):
+    """The live parts, and the verdict needing no search: FAILS with no
+    B-copy, HOLDS with one of at most ``caps[p]`` members in each live part."""
+    live = _live_parts(members, rs, caps)
+    if not nb:
+        return live, FAILS
+    free = [False] * nb  # B-copies some live part can take past its cap
+    for p in live:
+        free = [f or len(m) > caps[p] for f, m in zip(free, members[p])]
+    return live, None if all(free) else HOLDS
+
+
 def _run(nb: int, members, sizes, rs, caps, mode: str, seed: int, budget,
          samples: int):
     """The one run of :func:`check_instance` (one part) and
     :func:`joint_arrow_check` (a part per pattern) over :func:`_sample`'s
-    parts.  Sample mode only samples.  Else only the live parts run, dead
-    ones keeping color 0 (a single arrow is always its one live part): with
-    none the run holds (fails with no B-copy); a lone one's complete search
+    parts.  :func:`_settled` goes first: its FAILS ends any run with color
+    0, its HOLDS any but a sample run.  Sample mode only samples.  Else the
+    live parts run, dead ones keeping color 0: a lone one's complete search
     runs on the whole budget (decide) or its first half (refute), and its
     exhaustion holds.  Refute mode's local search then gets what is left,
     all of it over several live parts, and no step limit without a budget.
@@ -508,6 +512,11 @@ def _run(nb: int, members, sizes, rs, caps, mode: str, seed: int, budget,
     part's stats by its index, the other stats, and the first good B-copy
     of the first draw when sampling ends INCONCLUSIVE.
     """
+    if samples < 0:
+        raise ArrowError("samples must be non-negative")
+    live, settled = _settled(nb, members, rs, caps)
+    if settled == FAILS:
+        return FAILS, [[0] * n for n in sizes], {}, {}, None
     if mode == "sample":
         stats = {"samples": samples}
         colors, stats["witnessed"], good = _sample(nb, members, sizes, rs, caps,
@@ -515,13 +524,10 @@ def _run(nb: int, members, sizes, rs, caps, mode: str, seed: int, budget,
         if colors is not None:
             return FAILS, colors, {}, stats, None
         return INCONCLUSIVE, None, {}, stats, good
-
-    live = [0] if len(sizes) == 1 else _live_parts(members, rs, caps)
-    searches, stats = {}, {}
-    if not live:
-        return (HOLDS, None, searches, stats, None) if nb else (
-            FAILS, [[0] * n for n in sizes], searches, stats, None)
+    if settled == HOLDS:
+        return HOLDS, None, {}, {}, None
     parts = [[part[p] for p in live] for part in (members, sizes, rs, caps)]
+    searches, stats = {}, {}
     found, steps = None, sys.maxsize if budget is None else budget
     if len(live) == 1:
         nodes = budget // 2 if mode == "refute" and budget is not None else budget
@@ -553,18 +559,17 @@ def check_instance(instance: ArrowInstance, mode: str = "decide", *, d: int = 1,
     FAILS on a bad coloring from either, HOLDS only if the search
     exhausts, else INCONCLUSIVE.
     sample: up to ``samples`` seeded uniform draws only; never HOLDS.
+    :func:`_settled` decides no B-copy, r <= d, or a B-copy of at most d members.
 
-    The search writes the stats ``nodes``, ``prunes`` and ``early_exit``,
-    the local search ``steps`` when it runs, and sampling ``samples`` and
-    ``witnessed`` (the draws before the bad one).  Every FAILS is
-    re-verified through :func:`coloring_refutes`.
+    The search writes the stats ``nodes``, ``prunes`` and ``early_exit``
+    and the local search ``steps``, each only when it runs, and sampling
+    ``samples`` and ``witnessed`` (the draws before the bad one).  Every
+    FAILS is re-verified through :func:`coloring_refutes`.
     """
     if mode not in ("decide", "refute", "sample"):
         raise ArrowError(f"unknown mode {mode!r}")
     if d < 1:
         raise ArrowError("degree cap must be positive")
-    if samples < 0:
-        raise ArrowError("samples must be non-negative")
     verdict, colors, searches, stats, _ = _run(
         len(instance.members), (instance.members,), (len(instance.copy_keys),),
         (instance.r,), (d,), mode, seed, budget, samples)
@@ -728,28 +733,22 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
     with the first draw's first good B-copy as ``witness_key``.  Stats:
     ``samples``, and ``witnessed`` for the draws before the bad one.
     refute: :func:`_run` over the live patterns, dead ones keeping color
-    0: HOLDS with none, the one live pattern's single refute run (stats
-    ``nodes_<p>``, ``steps``), else the local search on the whole budget.
-    With no budget it has no step limit, so it does not return on a joint
-    arrow of several live patterns that holds.
+    0: HOLDS if a B-copy can leave no cap, the one live pattern's single
+    refute run (stats ``nodes_<p>``, ``steps``), else the local search on
+    the whole budget.  With no budget it has no step limit, so it does not
+    return on a joint arrow of several live patterns that holds.
     """
     patterns = list(patterns)
     rs = [2] * len(patterns) if rs is None else list(rs)
     ds = [1] * len(patterns) if ds is None else list(ds)
     if mode not in ("refute", "sample"):
         raise ArrowError(f"unknown joint mode {mode!r}")
-    if samples < 0:
-        raise ArrowError("samples must be non-negative")
 
     instance = joint_instance(C, B, patterns, rs, ds)
     nb = len(instance.bcopy_keys)
-    sizes = [len(pc) for pc in instance.pattern_copies]
-    if nb == 0:  # no B-copies: every coloring tuple is vacuously bad
-        verdict, colors, searches, stats, good = (
-            FAILS, [[0] * n for n in sizes], {}, {}, None)
-    else:
-        verdict, colors, searches, stats, good = _run(
-            nb, instance.pattern_members, sizes, rs, ds, mode, seed, budget, samples)
+    verdict, colors, searches, stats, good = _run(
+        nb, instance.pattern_members, [len(pc) for pc in instance.pattern_copies],
+        rs, ds, mode, seed, budget, samples)
     stats.update((f"nodes_{p}", search["nodes"]) for p, search in searches.items())
     colorings = None
     if colors is not None:

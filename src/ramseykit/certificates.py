@@ -5,9 +5,11 @@ verdict's supporting data, then closes with a digest line over everything
 above it.  ``replay_certificate`` re-validates the verdict from that data
 alone: refutations are checked coloring-by-coloring, witnesses are
 re-verified, derivations are recomputed and compared, but the bad-coloring
-search itself never runs again.  Exhaustion verdicts (HOLDS and friends)
-carry no polynomial witness; replay checks their instance arithmetic and
-says so rather than silently re-searching.
+search itself never runs again.  An arrow HOLDS that needs no search is
+re-verified by the rule that settles it; other exhaustion verdicts carry
+no polynomial witness, so replay checks their instance arithmetic and
+says so rather than silently re-searching.  A class section may not hold
+a ``generate`` row.
 
 Rendering is deterministic: no timestamps, no absolute paths, fixed
 ordering, so equal (input, config, seed) gives byte-identical files.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass, field
 
 from . import arrows
@@ -32,6 +35,7 @@ from .fileformat import (parse_class_file, parse_sequence_file,
 from .structures import InputError, read_natural
 
 _HEADER = "ramseykit certificate v1"
+_GENERATE_ROW = re.compile(r"generate\s+\S+\s+upto\s+\d+")
 
 
 class CertificateError(InputError):
@@ -236,6 +240,8 @@ def _replay_arrow(cert: Certificate, report: ReplayReport) -> None:
     A = parse_structure_file(cert.section("pattern"))
     r = cert.payload_int("r")
     d = cert.payload_int("d")
+    if d < 1:
+        raise CertificateError("the degree cap d must be positive")
     instance = build_instance(cert.payload_value("copies"), C, B, A, r)
     report.add(f"instance rebuilt: {len(instance.copy_keys)} copies, "
                f"{len(instance.bcopy_keys)} target copies")
@@ -251,8 +257,27 @@ def _replay_arrow(cert: Certificate, report: ReplayReport) -> None:
         else:
             report.fail("recorded coloring does not refute the arrow")
     else:
-        report.add(f"{cert.verdict} records an exhaustive or budgeted search; "
+        _replay_search(report, cert.verdict, len(instance.bcopy_keys),
+                       (instance.members,), (r,), (d,))
+
+
+def _replay_search(report: ReplayReport, verdict: str, nb: int, members, rs,
+                   ds) -> None:
+    """An arrow verdict with no coloring: HOLDS by :func:`arrows._settled`
+    or by one live pattern's exhaustive search, or a budgeted run."""
+    live, settled = arrows._settled(nb, members, rs, ds)
+    if verdict != arrows.HOLDS:
+        report.add(f"{verdict} records a budgeted search or sample; replay "
+                   "checks instance arithmetic only")
+    elif settled == arrows.HOLDS:
+        report.add("HOLDS re-verified: some target copy can never show more "
+                   "colors than its cap")
+    elif settled is None and len(live) == 1:
+        report.add(f"HOLDS records pattern {live[0]}'s exhaustive search; "
                    "replay checks instance arithmetic only")
+    else:
+        report.fail(f"with {nb} target copies and {len(live)} live patterns "
+                    "the arrow holds by no rule and no single search")
 
 
 def _replay_joint(cert: Certificate, report: ReplayReport) -> None:
@@ -285,22 +310,9 @@ def _replay_joint(cert: Certificate, report: ReplayReport) -> None:
                        "monochromatic for all patterns at once")
         else:
             report.fail(f"target copy {good} is jointly monochromatic")
-    elif cert.verdict == "HOLDS":
-        live = arrows._live_parts(instance.pattern_members, rs, ds)
-        if not instance.bcopy_keys:
-            report.fail("with no target copy every coloring refutes the arrow")
-        elif not live:
-            report.add("HOLDS re-verified: no pattern can take a target copy "
-                       "past its cap")
-        elif len(live) == 1:
-            report.add(f"HOLDS records pattern {live[0]}'s exhaustive search; "
-                       "replay checks instance arithmetic only")
-        else:
-            report.fail(f"patterns {', '.join(map(str, live))} can all leave "
-                        "their caps; a joint run holds with one such at most")
     else:
-        report.add(f"{cert.verdict} records a search outcome; replay checks "
-                   "instance arithmetic only")
+        _replay_search(report, cert.verdict, len(instance.bcopy_keys),
+                       instance.pattern_members, rs, ds)
 
 
 def _replay_degree(cert: Certificate, report: ReplayReport) -> None:
@@ -323,8 +335,18 @@ def _replay_degree(cert: Certificate, report: ReplayReport) -> None:
         report.add("probe exhausted its candidate supply; consistency only")
 
 
+def _recorded_class(cert: Certificate):
+    """The class section, parsed, once it has no ``generate`` row: a
+    certificate lists the members, and a row would name unbounded work."""
+    text = cert.section("class")
+    if any(_GENERATE_ROW.fullmatch(line.partition("#")[0].strip())
+           for line in text.splitlines()):
+        raise CertificateError("a certificate's class has no `generate` row")
+    return parse_class_file(text)
+
+
 def _replay_orderable(cert: Certificate, report: ReplayReport) -> None:
-    F = parse_class_file(cert.section("class"))
+    F = _recorded_class(cert)
     if cert.verdict == "ORDERABLE":
         types = []
         for row in cert.payload_values("phi"):
@@ -347,7 +369,7 @@ def _replay_orderable(cert: Certificate, report: ReplayReport) -> None:
 
 
 def _replay_class_check(cert: Certificate, report: ReplayReport) -> None:
-    F = parse_class_file(cert.section("class"))
+    F = _recorded_class(cert)
     report.add(f"class parses: {len(F.members)} members, "
                f"{'open' if F.open_window else 'closed'} window")
     for row in cert.payload_values("property"):

@@ -1,5 +1,6 @@
 """Partition-arrow instances, verdict search, degrees, and joint arrows."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -34,25 +35,28 @@ def successor_chain(n):
 
 
 @st.composite
-def search_inputs(draw):
+def search_inputs(draw, searchable=False):
     """Arguments of the bad-coloring search: member lists of distinct copy
     indices in any order (empty lists and no lists at all included), a
     color count, a degree cap and a budget.
 
     Mostly r > d and every list longer than d, so that the search runs,
-    sometimes an input it settles before searching.  Random lists rarely
+    sometimes an input that is settled before searching; with
+    ``searchable``, only the inputs the search takes.  Random lists rarely
     force a monochromatic B-copy, so half the inputs take every k-set of
     copies, which does once there are more copies than colors."""
-    ncopies = draw(st.integers(0, 9))
     d = draw(st.integers(1, 3))
-    r = draw(st.integers(min(d + 1, 4), 4) | st.integers(1, 4))
-    shortest = min(ncopies, draw(st.sampled_from((d + 1, d + 1, d + 1, 0))))
+    ncopies = draw(st.integers(d + 1 if searchable else 0, 9))
+    r = draw(st.integers(d + 1, 4) if searchable else
+             st.integers(min(d + 1, 4), 4) | st.integers(1, 4))
+    shortest = min(ncopies, d + 1 if searchable else
+                   draw(st.sampled_from((d + 1, d + 1, d + 1, 0))))
     if draw(st.booleans()):
         k = max(shortest, 1)
         members = [draw(st.permutations(m))
                    for m in itertools.combinations(range(ncopies), k)]
     else:
-        nb = draw(st.integers(0, 8))
+        nb = draw(st.integers(1 if searchable else 0, 8))
         members = draw(st.lists(
             st.lists(st.integers(0, ncopies - 1), unique=True,
                      min_size=shortest, max_size=max(shortest, 5))
@@ -326,13 +330,12 @@ class TestRefuteMode:
         inst, d, budget, seed = args
         res = check_instance(inst, "refute", d=d, seed=seed, budget=budget)
         truth = check_instance(inst, "decide", d=d, budget=None).verdict
-        _, _, exhausted = _search_bad_coloring(inst.members, len(inst.copy_keys),
-                                               inst.r, d, budget // 2)
+        half = check_instance(inst, "decide", d=d, budget=budget // 2).verdict
         if res.verdict == FAILS:
             assert coloring_refutes(inst, res.coloring, d)
             assert truth == FAILS
         if res.verdict == HOLDS:
-            assert exhausted and truth == HOLDS
+            assert half == truth == HOLDS
         assert res.stat("nodes") <= budget // 2 + 1
         assert res.stat("steps") <= budget - budget // 2
         assert check_instance(inst, "refute", d=d, seed=seed, budget=budget) == res
@@ -341,6 +344,12 @@ class TestRefuteMode:
     @given(refute_inputs())
     def test_local_search_alone_is_sound_and_deterministic(self, args):
         inst, d, budget, seed = args
+        # the driver settles a run with a B-copy of at most d members, or
+        # r <= d, so the local search sees only B-copies that can leave d
+        keep = [bi for bi, mem in enumerate(inst.members) if len(mem) > d < inst.r]
+        inst = dataclasses.replace(
+            inst, bcopy_keys=tuple(inst.bcopy_keys[bi] for bi in keep),
+            members=tuple(inst.members[bi] for bi in keep))
         parts = (inst.members,), (len(inst.copy_keys),), (inst.r,), (d,)
         nb = len(inst.members)
         colors, steps = _refute_by_local_search(nb, *parts, seed, budget)
@@ -354,6 +363,11 @@ class TestRefuteMode:
     @given(joint_parts())
     def test_joint_local_search_is_sound_and_deterministic(self, args):
         nb, members, sizes, rs, caps, budget, seed = args
+        # the driver settles a run with a B-copy that can leave no cap, so
+        # the local search sees only B-copies that can leave one
+        keep = [bi for bi in range(nb)
+                if any(len(m[bi]) > cap < r for m, r, cap in zip(members, rs, caps))]
+        nb, members = len(keep), tuple(tuple(m[bi] for bi in keep) for m in members)
         colors, steps = _refute_by_local_search(nb, members, sizes, rs, caps,
                                                 seed, budget)
         assert steps <= budget
@@ -361,10 +375,8 @@ class TestRefuteMode:
             assert [len(c) for c in colors] == list(sizes)
             assert all(0 <= c < r for cs, r in zip(colors, rs) for c in cs)
             assert _first_good_bcopy(nb, members, caps, colors) is None
-        elif all(any(len(m[bi]) > cap < r for m, r, cap in zip(members, rs, caps))
-                 for bi in range(nb)):
-            # every B-copy can leave its caps: the search gives up only
-            # at the end of its budget
+        else:
+            # the search gives up only at the end of its budget
             assert steps == budget
         assert _refute_by_local_search(nb, members, sizes, rs, caps,
                                        seed, budget) == (colors, steps)
@@ -534,15 +546,32 @@ class TestModes:
 
 class TestSearchKernel:
     @settings(max_examples=400, deadline=None)
+    @given(search_inputs(searchable=True))
+    @example(args=(((2, 0, 1), (1, 3, 2), (3, 0, 1)), 4, 4, 1, 0))
+    @example(args=(((2, 0, 1, 4), (1, 3, 2, 4), (3, 0, 1, 4)), 5, 4, 3, None))
+    def test_matches_reference_search(self, args):
+        assert _search_bad_coloring(*args) == oracle_search_bad_coloring(*args)
+
+    @settings(max_examples=400, deadline=None)
     @given(search_inputs())
     @example(args=((), 0, 2, 1, None))
     @example(args=((), 3, 2, 1, 5))
     @example(args=(((),), 2, 3, 1, None))
     @example(args=(((0, 1), (), (2, 1)), 3, 2, 1, None))
-    @example(args=(((2, 0, 1), (1, 3, 2), (3, 0, 1)), 4, 4, 1, 0))
-    @example(args=(((2, 0, 1, 4), (1, 3, 2, 4), (3, 0, 1, 4)), 5, 4, 3, None))
-    def test_matches_reference_search(self, args):
-        assert _search_bad_coloring(*args) == oracle_search_bad_coloring(*args)
+    def test_decide_matches_reference_search(self, args):
+        # the oracle settles what the driver settles before searching, with
+        # zero stats where the driver writes none
+        members, ncopies, r, d, budget = args
+        inst = ArrowInstance("embedding", r, tuple((i,) for i in range(ncopies)),
+                             tuple((j,) for j in range(len(members))), members)
+        colors, stats, exhausted = oracle_search_bad_coloring(*args)
+        res = check_instance(inst, "decide", d=d, budget=budget)
+        assert res.verdict == (HOLDS if exhausted else
+                               INCONCLUSIVE if colors is None else FAILS)
+        assert res.coloring == (None if colors is None else
+                                Coloring(r, tuple(zip(inst.copy_keys, colors))))
+        settled = not members or r <= d or min(map(len, members)) <= d
+        assert dict(res.stats) == ({} if settled else stats)
 
     @pytest.mark.parametrize("n,r,budget,verdict,nodes,prunes,early_exit", [
         (8, 3, None, FAILS, 29255, 58471, 1),
@@ -687,6 +716,15 @@ class TestJointArrows:
                                 [1, 1], "refute", seed=4, budget=10**6)
         assert res.verdict == HOLDS
         assert dict(res.stats) == {"nodes_0": 6007}
+
+    def test_a_bcopy_stuck_across_live_parts_holds(self):
+        # both parts are live through B-copy 1, and B-copy 0 has one member
+        # in each, so it keeps both caps whatever the coloring
+        members = (((0,), (0, 1)), ((0,), (0, 1)))
+        assert oracle_joint_holds(2, members, (2, 2), (2, 2), (1, 1))
+        assert _live_parts(members, (2, 2), (1, 1)) == [0, 1]
+        assert _run(2, members, (2, 2), (2, 2), (1, 1), "refute", 0, 100, 0) == \
+            (HOLDS, None, {}, {}, None)
 
     def test_zero_patterns_witness_the_first_bcopy(self):
         res = joint_arrow_check(linear_order(4), linear_order(2), [], rs=[],

@@ -112,6 +112,24 @@ class TestArrow:
         assert "samples" not in stats and "mode=refute" in cert.config
         assert main(["verify", "a.cert"]) == 0
 
+    @pytest.mark.parametrize("argv,checked", [
+        # LO_3's 3 pairs can never show more than 3 colors
+        ((4, 3, 2, "--colors", "3", "--degree", "3"), "HOLDS re-verified"),
+        # each copy of LO_3 holds one copy of LO_3
+        ((4, 3, 3, "--colors", "2"), "HOLDS re-verified"),
+        ((6, 3, 2, "--colors", "2"), "instance arithmetic only"),
+    ])
+    def test_holds_replay_re_verifies_what_needs_no_search(
+            self, tmp_path, monkeypatch, capsys, argv, checked):
+        monkeypatch.chdir(tmp_path)
+        orders = write_orders(tmp_path, *argv[:3])
+        assert main(["arrow", *orders, *argv[3:], "--out", "a.cert"]) == 0
+        stats = parse_certificate((tmp_path / "a.cert").read_text()).stats
+        assert bool(stats) == (checked == "instance arithmetic only")
+        capsys.readouterr()
+        assert main(["verify", "a.cert"]) == 0
+        assert checked in capsys.readouterr().out
+
     def test_budget_starvation_exits_two(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         lo6, lo3, lo2 = write_orders(tmp_path, 6, 3, 2)

@@ -24,7 +24,7 @@ from ramseykit import (Certificate, FormulaSet, InputError, ParseError,
                        parse_document, parse_formula, replay_certificate,
                        serialize_sequence, serialize_structure,
                        write_certificate)
-from ramseykit import certificates, cli
+from ramseykit import certificates, cli, fileformat
 from ramseykit.cli import main
 
 from conftest import graph
@@ -120,6 +120,32 @@ class TestCertificateInput:
         assert main(["generate", family, "--upto", "3", "--out", "g.cert"]) == 0
         resign(tmp_path / "g.cert", "upto 3", "upto 1000000000")
         assert main(["verify", "g.cert"]) == 3
+
+    @pytest.mark.parametrize("kind", ["orderable", "class-check"])
+    def test_a_generate_row_in_a_class_section_exits_three(
+            self, tmp_path, monkeypatch, kind):
+        # parsing the row would generate graphs(7): seconds of work in one line
+        def boom(*args):
+            raise AssertionError("replay generated a class")
+
+        monkeypatch.chdir(tmp_path)
+        main(["generate", "linear-orders", "--upto", "3", "--out-class", "lo.cls"])
+        assert main([kind, "lo.cls", "--out", "c.cert"]) in (0, 1, 2)
+        cert = parse_certificate((tmp_path / "c.cert").read_text())
+        forged = "signature S\nrelation E 2\n\nclass g : S\ngenerate graphs upto 7\n"
+        write_certificate(dataclasses.replace(cert, sections=(("class", forged),)),
+                          "c.cert")
+        monkeypatch.setattr(fileformat, "GENERATORS",
+                            dict.fromkeys(fileformat.GENERATORS, boom))
+        assert main(["verify", "c.cert"]) == 3
+
+    def test_a_degree_cap_below_one_exits_three(self, tmp_path, monkeypatch):
+        # every B-copy shows more than 0 colors, so any coloring passed
+        monkeypatch.chdir(tmp_path)
+        lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+        assert main(["arrow", lo5, lo3, lo2, "--colors", "2", "--out", "a.cert"]) == 1
+        resign(tmp_path / "a.cert", "d 1", "d 0")
+        assert main(["verify", "a.cert"]) == 3
 
     @pytest.mark.parametrize("line", ["stat: nodes=x", "stat: nodes",
                                       "stat: nodes=-1"])
