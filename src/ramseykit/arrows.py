@@ -514,6 +514,8 @@ def _run(nb: int, members, sizes, rs, caps, mode: str, seed: int, budget,
     """
     if samples < 0:
         raise ArrowError("samples must be non-negative")
+    if budget is not None and budget < 0:
+        raise ArrowError("budget must be non-negative")
     live, settled = _settled(nb, members, rs, caps)
     if settled == FAILS:
         return FAILS, [[0] * n for n in sizes], {}, {}, None

@@ -5,11 +5,12 @@ verdict's supporting data, then closes with a digest line over everything
 above it.  ``replay_certificate`` re-validates the verdict from that data
 alone: refutations are checked coloring-by-coloring, witnesses are
 re-verified, derivations are recomputed and compared, but the bad-coloring
-search itself never runs again.  An arrow HOLDS that needs no search is
-re-verified by the rule that settles it; other exhaustion verdicts carry
-no polynomial witness, so replay checks their instance arithmetic and
-says so rather than silently re-searching.  A class section may not hold
-a ``generate`` row.
+search itself never runs again.  Single and joint arrows alike check
+their recorded target-copy count, and one rule checks their verdicts: a
+FAILS by its colorings, a HOLDS that needs no search by the rule that
+settles it.  Other exhaustion verdicts carry no polynomial witness, so
+replay checks their instance arithmetic and says so rather than silently
+re-searching.  A class section may not hold a ``generate`` row.
 
 Rendering is deterministic: no timestamps, no absolute paths, fixed
 ordering, so equal (input, config, seed) gives byte-identical files.
@@ -23,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import arrows
-from .arrows import Coloring, build_instance, coloring_refutes
+from .arrows import Coloring, build_instance
 from .classes import GENERATORS, elf_minimize, order_every_member
 from .embeddings import Embedding, EmbeddingError, automorphism_group
 from .expansions import isolator, qf_type_morleyisation
@@ -245,39 +246,11 @@ def _replay_arrow(cert: Certificate, report: ReplayReport) -> None:
     instance = build_instance(cert.payload_value("copies"), C, B, A, r)
     report.add(f"instance rebuilt: {len(instance.copy_keys)} copies, "
                f"{len(instance.bcopy_keys)} target copies")
-    if cert.payload_int("acopies") != len(instance.copy_keys) or \
-            cert.payload_int("bcopies") != len(instance.bcopy_keys):
+    if cert.payload_int("acopies") != len(instance.copy_keys):
         report.fail("recorded copy counts do not match the inputs")
         return
-    if cert.verdict == "FAILS":
-        coloring = decode_coloring(r, cert.payload_values("color"))
-        if coloring_refutes(instance, coloring, d):
-            report.add("refuting coloring re-verified: every target copy "
-                       f"shows more than {d} colors")
-        else:
-            report.fail("recorded coloring does not refute the arrow")
-    else:
-        _replay_search(report, cert.verdict, len(instance.bcopy_keys),
-                       (instance.members,), (r,), (d,))
-
-
-def _replay_search(report: ReplayReport, verdict: str, nb: int, members, rs,
-                   ds) -> None:
-    """An arrow verdict with no coloring: HOLDS by :func:`arrows._settled`
-    or by one live pattern's exhaustive search, or a budgeted run."""
-    live, settled = arrows._settled(nb, members, rs, ds)
-    if verdict != arrows.HOLDS:
-        report.add(f"{verdict} records a budgeted search or sample; replay "
-                   "checks instance arithmetic only")
-    elif settled == arrows.HOLDS:
-        report.add("HOLDS re-verified: some target copy can never show more "
-                   "colors than its cap")
-    elif settled is None and len(live) == 1:
-        report.add(f"HOLDS records pattern {live[0]}'s exhaustive search; "
-                   "replay checks instance arithmetic only")
-    else:
-        report.fail(f"with {nb} target copies and {len(live)} live patterns "
-                    "the arrow holds by no rule and no single search")
+    _check_arrow(cert, report, len(instance.bcopy_keys), (instance.copy_keys,),
+                 (instance.members,), (r,), (d,), ("color",))
 
 
 def _replay_joint(cert: Certificate, report: ReplayReport) -> None:
@@ -292,27 +265,52 @@ def _replay_joint(cert: Certificate, report: ReplayReport) -> None:
     ds = decode_key(cert.payload_value("ds"))
     instance = arrows.joint_instance(C, B, patterns, rs, ds)
     report.add(f"joint instance rebuilt: {len(instance.bcopy_keys)} target copies")
-    if cert.verdict == "FAILS":
-        per_pattern = []
-        for p in range(len(patterns)):
-            coloring = decode_coloring(rs[p], cert.payload_values(f"color{p}"))
-            if set(coloring.keys()) != set(instance.pattern_copies[p]):
+    _check_arrow(cert, report, len(instance.bcopy_keys), instance.pattern_copies,
+                 instance.pattern_members, rs, ds,
+                 [f"color{p}" for p in range(k)])
+
+
+def _check_arrow(cert: Certificate, report: ReplayReport, nb: int, keys,
+                 members, rs, ds, prefixes) -> None:
+    """The one check of an ``arrow`` or ``joint-arrow`` verdict, over the
+    parts :func:`arrows._run` searched: part p has the copy keys
+    ``keys[p]``, the member lists ``members[p]`` and its colour lines under
+    ``prefixes[p]``.  FAILS holds if every part colours exactly its copies
+    and no target copy stays within every cap; HOLDS by
+    :func:`arrows._settled`, or by one live part's exhaustive search; any
+    other verdict records a budgeted run."""
+    if cert.payload_int("bcopies") != nb:
+        report.fail("recorded copy counts do not match the inputs")
+        return
+    if cert.verdict == arrows.FAILS:
+        colors = []
+        for p, (part, r, prefix) in enumerate(zip(keys, rs, prefixes)):
+            coloring = decode_coloring(r, cert.payload_values(prefix))
+            if set(coloring.keys()) != set(part):
                 report.fail(f"coloring {p} is not defined on exactly the "
                             f"copies of pattern {p}")
                 return
-            per_pattern.append([coloring.color_of(key)
-                                for key in instance.pattern_copies[p]])
-        good = arrows._first_good_bcopy(len(instance.bcopy_keys),
-                                        instance.pattern_members, instance.ds,
-                                        per_pattern)
+            colors.append([coloring.color_of(key) for key in part])
+        good = arrows._first_good_bcopy(nb, members, ds, colors)
         if good is None:
-            report.add("joint refutation re-verified: no target copy is "
-                       "monochromatic for all patterns at once")
+            report.add("refuting coloring re-verified: no target copy stays "
+                       "within every cap")
         else:
-            report.fail(f"target copy {good} is jointly monochromatic")
+            report.fail(f"target copy {good} stays within every cap")
+        return
+    live, settled = arrows._settled(nb, members, rs, ds)
+    if cert.verdict != arrows.HOLDS:
+        report.add(f"{cert.verdict} records a budgeted search or sample; replay "
+                   "checks instance arithmetic only")
+    elif settled == arrows.HOLDS:
+        report.add("HOLDS re-verified: some target copy can never show more "
+                   "colors than its cap")
+    elif settled is None and len(live) == 1:
+        report.add(f"HOLDS records pattern {live[0]}'s exhaustive search; "
+                   "replay checks instance arithmetic only")
     else:
-        _replay_search(report, cert.verdict, len(instance.bcopy_keys),
-                       instance.pattern_members, rs, ds)
+        report.fail(f"with {nb} target copies and {len(live)} live patterns "
+                    "the arrow holds by no rule and no single search")
 
 
 def _replay_degree(cert: Certificate, report: ReplayReport) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .arrows import DEFAULT_BUDGET, FAILS, HOLDS, arrow_instance, check_instance, \
@@ -38,7 +39,16 @@ class ClassError(InputError):
 
 @dataclass(frozen=True)
 class FiniteClass:
-    """Canonical members of one signature, sorted by (size, certificate).
+    """Canonical members of one signature, no two of one size isomorphic.
+
+    Isomorphic structures have one size, so canonical certificates are
+    compared only between members of a shared size.  The member order is
+    the builder's: :func:`finite_class`, and so class-file parsing, sorts
+    by (size, certificate), while each generator keeps its own (``graphs``:
+    the least edge set of each class, in bit order).  So
+    ``parse_class_file(serialize_class(graphs(4)))`` lists the members in
+    another order, and its ``jep_check`` rows differ from those of
+    ``jep_check(graphs(4))``.
 
     ``open_window`` marks corpora that stand for an infinite family (all
     generated classes do), which softens missing-witness verdicts from
@@ -54,16 +64,18 @@ class FiniteClass:
     def __post_init__(self) -> None:
         if not self.members:
             raise ClassError("a class needs at least one member")
+        sizes = Counter(M.size for M in self.members)
         certs = set()
         for M in self.members:
             if M.signature != self.signature:
                 raise ClassError("members must share the class signature")
             if M.size > self.bound:
                 raise ClassError(f"member {M.name!r} exceeds the size bound {self.bound}")
-            cert = canonical_certificate(M)
-            if cert in certs:
-                raise ClassError(f"members must be pairwise non-isomorphic ({M.name!r})")
-            certs.add(cert)
+            if sizes[M.size] > 1:
+                cert = canonical_certificate(M)
+                if cert in certs:
+                    raise ClassError(f"members must be pairwise non-isomorphic ({M.name!r})")
+                certs.add(cert)
 
     def members_upto(self, size: int) -> tuple[Structure, ...]:
         return tuple(M for M in self.members if M.size <= size)

@@ -11,8 +11,8 @@ from ramseykit import (FAILS, HOLDS, INCONCLUSIVE, ArrowError, ArrowInstance,
                        Coloring, Embedding, Structure, TermColoringError,
                        arrow_check, arrow_instance, build_joint_witness,
                        check_instance, coloring_refutes, copies_of_type,
-                       find_monochromatic_copy, joint_arrow_check,
-                       joint_instance, linear_order, parse_term,
+                       erp_check, find_monochromatic_copy, joint_arrow_check,
+                       joint_instance, linear_order, linear_orders, parse_term,
                        promote_arrow_witness, pure_set, qftp,
                        ramsey_degree_lower, ramsey_degree_upper_probe,
                        render_cnf, subset_arrow_instance,
@@ -531,6 +531,22 @@ class TestModes:
         joint = joint_arrow_check(linear_order(2), linear_order(2),
                                   [linear_order(1)], samples=0)
         assert joint.verdict == INCONCLUSIVE and joint.witness_key is None
+
+    def test_negative_budget_rejected_and_zero_keeps_its_meaning(self):
+        # a negative budget once ran one node and came back INCONCLUSIVE
+        # with steps=0, where the CLI refuses any budget below 1
+        lo5, lo3, lo2 = linear_order(5), linear_order(3), linear_order(2)
+        inst = arrow_instance(lo5, lo3, lo2, 2)
+        for mode in ("decide", "refute", "sample"):
+            with pytest.raises(ArrowError, match="budget"):
+                check_instance(inst, mode, budget=-4)
+        for mode in ("refute", "sample"):
+            with pytest.raises(ArrowError, match="budget"):
+                joint_arrow_check(lo5, lo3, [lo2, lo2], mode=mode, budget=-4)
+        with pytest.raises(ArrowError, match="budget"):
+            erp_check(linear_orders(3), 2, 3, budget=-4)
+        assert check_instance(inst, "refute", budget=0).verdict == INCONCLUSIVE
+        assert check_instance(inst, "decide", budget=None).verdict == FAILS
 
     def test_budget_exhaustion_is_inconclusive(self):
         res = arrow_check(linear_order(6), linear_order(3), linear_order(2),

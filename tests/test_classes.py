@@ -51,6 +51,19 @@ class TestConstruction:
         with pytest.raises(ClassError):
             FiniteClass(K2.signature, (K2,), 1)
 
+    def test_only_members_of_one_size_are_labeled(self, monkeypatch):
+        # labeling P_24 alone took 2.66 s, and every member was labeled
+        def refuse(M):
+            raise AssertionError(f"{M.name} was labeled")
+
+        monkeypatch.setattr(classes, "canonical_certificate", refuse)
+        assert len(pure_sets(30).members) == len(linear_orders(30).members) == 30
+
+    def test_isomorphic_members_of_one_size_rejected(self):
+        with pytest.raises(ClassError, match="non-isomorphic"):
+            FiniteClass(K2.signature, (K1, graph(3, [(0, 1)]), K2,
+                                       graph(3, [(1, 2)])), 3)
+
     def test_members_upto(self):
         F = linear_orders(5)
         assert [M.size for M in F.members_upto(3)] == [1, 2, 3]

@@ -619,6 +619,45 @@ class TestErrorsAndVerify:
         assert main(["verify", "j.cert"]) == 1
         assert "coloring 0 is not defined on exactly" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ("arrow", 5, 3, 2, "--colors", "2"),
+        ("joint-arrow", 5, 3, 2, 1, "--colors", "2,2", "--mode", "refute"),
+    ], ids=["arrow", "joint-arrow"])
+    @pytest.mark.parametrize("forge,reason", [
+        ("bcopies", "recorded copy counts do not match"),
+        ("good-target-copy", "stays within every cap"),
+        ("no-copy-key", "is not defined on exactly the copies"),
+    ])
+    def test_forged_refutation_fails_replay_for_both_kinds(
+            self, tmp_path, monkeypatch, capsys, argv, forge, reason):
+        # one checker reads the colour lines of both kinds; a joint
+        # certificate re-signed with `bcopies 999` once replayed ok
+        monkeypatch.chdir(tmp_path)
+        orders = write_orders(tmp_path, *(a for a in argv if isinstance(a, int)))
+        options = [a for a in argv[1:] if not isinstance(a, int)]
+        assert main([argv[0], *orders, *options, "--out", "f.cert"]) == 1
+        assert main(["verify", "f.cert"]) == 0
+        cert = parse_certificate((tmp_path / "f.cert").read_text())
+        payload = []
+        for line in cert.payload:
+            word, *rest = line.split()
+            if forge == "bcopies" and word == "bcopies":
+                line = "bcopies 999"
+            elif forge == "good-target-copy" and word.startswith("color") \
+                    and max(map(int, rest[0].split(","))) < 3:
+                # every copy inside the target copy on points 0, 1, 2
+                line = f"{word} {rest[0]} 0"
+            elif forge == "no-copy-key" and word.startswith("color") \
+                    and not any(ln.startswith("color") for ln in payload):
+                line = f"{word} 9,9 {rest[1]}"
+            payload.append(line)
+        assert payload != list(cert.payload)
+        write_certificate(dataclasses.replace(cert, payload=tuple(payload)),
+                          "f.cert")
+        capsys.readouterr()
+        assert main(["verify", "f.cert"]) == 1
+        assert reason in capsys.readouterr().out
+
     def test_failed_replay_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         from test_certificates import arrow_cert
