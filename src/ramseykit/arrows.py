@@ -289,13 +289,20 @@ def _search_bad_coloring(members, ncopies: int, r: int, d: int, budget):
         next_try[depth] = 0
 
 
-def _first_good_bcopy(nb: int, members, caps, colors) -> int | None:
-    """Index of the first of ``nb`` B-copies whose members show at most
-    ``caps[p]`` colors under ``colors[p]`` for every part p, or None."""
-    parts = range(len(members))
-    for bi in range(nb):
-        if all(len({colors[p][ci] for ci in members[p][bi]}) <= caps[p]
-               for p in parts):
+def _bcopy_rows(nb: int, members):
+    """Row bi holds ``members[p][bi]`` for each part p; no parts, nb empty rows."""
+    return zip(*members) if members else itertools.repeat((), nb)
+
+
+def _first_good_bcopy(rows, caps, colors) -> int | None:
+    """Index of the first row (one member list per part, read lazily) in
+    which every part p shows at most ``caps[p]`` colors under ``colors[p]``,
+    or None.  An empty row is good; :func:`_bcopy_rows` gives ``nb`` of them."""
+    for bi, row in enumerate(rows):
+        for mem, cap, cs in zip(row, caps, colors):
+            if len({cs[m] for m in mem}) > cap:
+                break
+        else:
             return bi
     return None
 
@@ -308,9 +315,10 @@ def _sample(nb: int, members, sizes, rs, caps, seed: int, samples: int):
     witnessed draw."""
     rng = random.Random(seed)
     first_good = None
+    rows = list(_bcopy_rows(nb, members))
     for drawn in range(samples):
         colors = [[rng.randrange(r) for _ in range(n)] for n, r in zip(sizes, rs)]
-        good = _first_good_bcopy(nb, members, caps, colors)
+        good = _first_good_bcopy(rows, caps, colors)
         if good is None:
             return colors, drawn, first_good
         if drawn == 0:
@@ -607,8 +615,7 @@ def find_monochromatic_copy(C: Structure, B: Structure, A: Structure,
     if set(coloring.keys()) != set(instance.copy_keys):
         raise ArrowError("coloring keys do not match binom(C, A)")
     per_copy = [coloring.color_of(key) for key in instance.copy_keys]
-    good = _first_good_bcopy(len(instance.bcopy_keys), (instance.members,), (1,),
-                             (per_copy,))
+    good = _first_good_bcopy(zip(instance.members), (1,), (per_copy,))
     return None if good is None else Embedding(B, C, instance.bcopy_keys[good])
 
 
@@ -754,7 +761,8 @@ def joint_arrow_check(C: Structure, B: Structure, patterns, rs=None, ds=None,
     stats.update((f"nodes_{p}", search["nodes"]) for p, search in searches.items())
     colorings = None
     if colors is not None:
-        if _first_good_bcopy(nb, instance.pattern_members, ds, colors) is not None:
+        if _first_good_bcopy(_bcopy_rows(nb, instance.pattern_members), ds,
+                             colors) is not None:
             raise AssertionError("search produced colorings that do not re-verify")
         colorings = tuple(Coloring(r, tuple(zip(keys, cs)))
                           for r, keys, cs in zip(rs, instance.pattern_copies, colors))

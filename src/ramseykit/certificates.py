@@ -8,9 +8,10 @@ re-verified, derivations are recomputed and compared, but the bad-coloring
 search itself never runs again.  Single and joint arrows alike check
 their recorded target-copy count, and one rule checks their verdicts: a
 FAILS by its colorings, a HOLDS that needs no search by the rule that
-settles it.  Other exhaustion verdicts carry no polynomial witness, so
-replay checks their instance arithmetic and says so rather than silently
-re-searching.  A class section may not hold a ``generate`` row.
+settles it, and an extract NONE by its scan: the joint arrow under the
+Δ-type colouring, caps 1.  Other exhaustion verdicts carry no polynomial
+witness, so replay checks their instance arithmetic and says so rather
+than silently re-searching.  A class section may not hold a ``generate`` row.
 
 Rendering is deterministic: no timestamps, no absolute paths, fixed
 ordering, so equal (input, config, seed) gives byte-identical files.
@@ -28,8 +29,8 @@ from .arrows import Coloring, build_instance
 from .classes import GENERATORS, elf_minimize, order_every_member
 from .embeddings import Embedding, EmbeddingError, automorphism_group
 from .expansions import isolator, qf_type_morleyisation
-from .indiscernibles import (check_locally_based, is_indiscernible, least_cap,
-                             reindex)
+from .indiscernibles import (_first_indiscernible_copy, check_locally_based,
+                             is_indiscernible, least_cap, reindex)
 from .qftypes import qftp
 from .fileformat import (parse_class_file, parse_sequence_file,
                          parse_structure_file, serialize_class)
@@ -291,7 +292,8 @@ def _check_arrow(cert: Certificate, report: ReplayReport, nb: int, keys,
                             f"copies of pattern {p}")
                 return
             colors.append([coloring.color_of(key) for key in part])
-        good = arrows._first_good_bcopy(nb, members, ds, colors)
+        rows = arrows._bcopy_rows(nb, members)
+        good = arrows._first_good_bcopy(rows, ds, colors)
         if good is None:
             report.add("refuting coloring re-verified: no target copy stays "
                        "within every cap")
@@ -437,8 +439,18 @@ def _replay_extract(cert: Certificate, report: ReplayReport) -> None:
         else:
             report.fail("recorded embedding fails re-verification")
     else:
-        report.add("NONE records an exhausted candidate scan; replay checks "
-                   "the inputs parse")
+        # the scan stops one candidate past the recorded count, so a forged
+        # count bounds the work instead of the index size
+        recorded = cert.payload_int("candidates")
+        g, drawn = _first_indiscernible_copy(I, N_target, delta, recorded + 1)
+        if g is not None:
+            report.fail(f"candidate {drawn} stays within every cap")
+        elif drawn != recorded:
+            report.fail(f"recorded candidate count {recorded} does not match "
+                        "the scan")
+        else:
+            report.add(f"NONE re-verified: none of the {drawn} candidates stays "
+                       "within every cap")
 
 
 def _replay_elf(cert: Certificate, report: ReplayReport) -> None:

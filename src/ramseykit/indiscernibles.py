@@ -9,9 +9,9 @@ comparison over a finite M is automorphism-orbit equality, offered as the
 
 Extraction recovers an indiscernible subsequence: color index tuples by
 their Δ-type and hunt an N_target-copy inside N on which the color is
-constant within each index-type class, all classes at once.  Bounds
-are everywhere explicit: index-tuple length caps default to 4, and to
-|N_target| during extraction.
+constant within each index-type class: the joint arrow under the Δ-type
+colouring, every cap 1.  Bounds are everywhere explicit: index-tuple
+length caps default to 4, and to |N_target| during extraction.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .arrows import _first_good_bcopy
 from .embeddings import Embedding, automorphism_group, iter_embeddings
 from .formulas import eval_on_tuple, formula_arity, parse_formula, render_formula
 from .qftypes import QfType, copies_of_type, qftp, tuples_by_type
@@ -130,23 +131,18 @@ def least_cap(I: IndexedSequence, delta) -> int:
     return max((-(-a // I.width) for a in delta.arities), default=0)
 
 
-def _delta_colouring(I: IndexedSequence, delta):
-    """Index tuple -> Δ-type of its target tuple, one delta_type per target tuple.
+class _DeltaTypes(dict):
+    """Target tuple -> Δ-type, one delta_type each on first lookup.  Index
+    tuples share target tuples (index points share assigned tuples), so
+    an index tuple is coloured by ``types[I.concat(tup)]``."""
 
-    Many index tuples share a target tuple (index points share assigned
-    tuples), so the Δ-types are memoised by target tuple for the life of
-    the returned function.
-    """
-    memo: dict[tuple[int, ...], object] = {}
+    def __init__(self, M: Structure, delta) -> None:
+        super().__init__()
+        self.M, self.delta = M, delta
 
-    def colour(tup) -> object:
-        values = I.concat(tup)
-        got = memo.get(values)
-        if got is None:
-            got = memo[values] = delta_type(I.target, delta, values)
+    def __missing__(self, values: tuple[int, ...]) -> object:
+        got = self[values] = delta_type(self.M, self.delta, values)
         return got
-
-    return colour
 
 
 # -- indiscernibility ---------------------------------------------------------
@@ -160,14 +156,14 @@ def is_indiscernible(I: IndexedSequence, delta,
     type class, tagged by the first disagreeing formula (or "orbit" in
     ALL mode).
     """
-    colour = _delta_colouring(I, delta)
+    types = _DeltaTypes(I.target, delta)
     violations = []
     for n in range(1, cap + 1):
         for group in tuples_by_type(I.index, n).values():
             rep = group[0]
-            want = colour(rep)
+            want = types[I.concat(rep)]
             for tup in group[1:]:
-                got = colour(tup)
+                got = types[I.concat(tup)]
                 if got != want:
                     violations.append((rep, tup, _first_disagreement(delta, want, got)))
     return not violations, tuple(violations)
@@ -203,12 +199,11 @@ def check_locally_based(J: IndexedSequence, I: IndexedSequence, delta,
         raise IndiscernibilityError("sequences must share target and width")
     if J.index.signature != I.index.signature:
         raise IndiscernibilityError("index structures must share a signature")
-    i_colour = _delta_colouring(I, delta)
-    j_colour = _delta_colouring(J, delta)
+    types = _DeltaTypes(I.target, delta)
     witnesses = []
     misses = []
     for n in range(1, cap + 1):
-        wanted = {ibar: (qftp(J.index, ibar), j_colour(ibar))
+        wanted = {ibar: (qftp(J.index, ibar), types[J.concat(ibar)])
                   for ibar in itertools.product(range(J.index.size), repeat=n)}
         # the first I-tuple of each wanted key, in product order; the scan
         # stops once every key is matched
@@ -217,7 +212,7 @@ def check_locally_based(J: IndexedSequence, I: IndexedSequence, delta,
         for jbar in itertools.product(range(I.index.size), repeat=n):
             if not need:
                 break
-            key = (qftp(I.index, jbar), i_colour(jbar))
+            key = (qftp(I.index, jbar), types[I.concat(jbar)])
             if key in need:
                 need.remove(key)
                 first[key] = jbar
@@ -326,51 +321,46 @@ class ExtractionResult:
     verified: bool
 
 
+def _first_indiscernible_copy(I: IndexedSequence, N_target: Structure, delta,
+                              limit: int | None = None) -> tuple[Embedding | None, int]:
+    """The first good copy, or None, and the candidates drawn: B-copies are
+    the first ``limit`` embeddings g in ``iter_embeddings`` order, part p
+    the p-th qf-type class of pattern tuples of lengths 1..|N_target|, its
+    members g∘t keyed by their target tuples in one :class:`_DeltaTypes`,
+    and every cap 1."""
+    classes = [group for n in range(1, N_target.size + 1)
+               for group in tuples_by_type(N_target, n).values()]
+    last, drawn = None, 0
+
+    def rows():
+        nonlocal last, drawn
+        for g in itertools.islice(iter_embeddings(I.index, N_target), limit):
+            last, drawn = g, drawn + 1
+            yield (map(I.concat, map(g.apply_tuple, group)) for group in classes)
+
+    good = _first_good_bcopy(rows(), [1] * len(classes),
+                             [_DeltaTypes(I.target, delta)] * len(classes))
+    return (None if good is None else last), drawn
+
+
 def extract_indiscernible_pattern(I: IndexedSequence, N_target: Structure,
                                   delta) -> ExtractionResult:
-    """First N_target-copy in the index on which I is Δ-indiscernible.
-
-    Index tuples are colored by Δ-type on first use, once each (one
-    delta_type evaluation per distinct target tuple); a candidate copy
-    survives when each of its index-type classes is monochromatic (all
-    classes jointly).  Candidates are drawn lazily in lexicographic order,
-    so the scan stops at the first survivor.  Survivors are re-verified
-    with the public checks before being returned, so a non-none result is
-    sound by construction.
-    """
-    N = I.index
-    if N_target.signature != N.signature:
+    """First N_target-copy in the index on which I is Δ-indiscernible, by
+    :func:`_first_indiscernible_copy`.  Survivors are re-verified with the
+    public checks, so a non-none result is sound by construction."""
+    if N_target.signature != I.index.signature:
         raise IndiscernibilityError("pattern and index signatures differ")
-    candidates = iter_embeddings(N, N_target)
-    first = next(candidates, None)
-    if first is None:
+    g, checked = _first_indiscernible_copy(I, N_target, delta)
+    if not checked:
         raise IndiscernibilityError("the pattern does not embed in the index")
-    cap = N_target.size
-
-    colour = _delta_colouring(I, delta)
-    color: dict[tuple[int, ...], object] = {}
-
-    def color_of(tup):
-        got = color.get(tup)
-        if got is None:
-            got = color[tup] = colour(tup)
-        return got
-
-    classes = [group for n in range(1, cap + 1)
-               for group in tuples_by_type(N_target, n).values()]
-    for checked, g in enumerate(itertools.chain([first], candidates), start=1):
-        for group in classes:
-            want = color_of(g.apply_tuple(group[0]))
-            if any(color_of(g.apply_tuple(t)) != want for t in group[1:]):
-                break
-        else:
-            J = reindex(I, g)
-            good, violations = is_indiscernible(J, delta, cap)
-            assert good, f"extraction survivor fails re-verification: {violations[:2]}"
-            based, _, misses = check_locally_based(J, I, delta, cap)
-            assert based, f"extraction survivor not based on source: {misses[:2]}"
-            return ExtractionResult(g, checked, True)
-    return ExtractionResult(None, checked, False)
+    if g is None:
+        return ExtractionResult(None, checked, False)
+    J = reindex(I, g)
+    good, violations = is_indiscernible(J, delta, N_target.size)
+    assert good, f"extraction survivor fails re-verification: {violations[:2]}"
+    based, _, misses = check_locally_based(J, I, delta, N_target.size)
+    assert based, f"extraction survivor not based on source: {misses[:2]}"
+    return ExtractionResult(g, checked, True)
 
 
 # -- the Ψ construction --------------------------------------------------------

@@ -17,7 +17,7 @@ from ramseykit import (FAILS, HOLDS, INCONCLUSIVE, ArrowError, ArrowInstance,
                        ramsey_degree_lower, ramsey_degree_upper_probe,
                        render_cnf, subset_arrow_instance,
                        term_iteration_coloring)
-from ramseykit.arrows import (_first_good_bcopy, _live_parts,
+from ramseykit.arrows import (_bcopy_rows, _first_good_bcopy, _live_parts,
                               _refute_by_local_search, _run,
                               _search_bad_coloring, build_instance)
 
@@ -355,7 +355,8 @@ class TestRefuteMode:
         colors, steps = _refute_by_local_search(nb, *parts, seed, budget)
         assert steps <= budget
         if colors is not None:
-            assert _first_good_bcopy(nb, parts[0], parts[3], colors) is None
+            assert _first_good_bcopy(_bcopy_rows(nb, parts[0]), parts[3],
+                                     colors) is None
             assert check_instance(inst, "decide", d=d, budget=None).verdict == FAILS
         assert _refute_by_local_search(nb, *parts, seed, budget) == (colors, steps)
 
@@ -374,7 +375,8 @@ class TestRefuteMode:
         if colors is not None:
             assert [len(c) for c in colors] == list(sizes)
             assert all(0 <= c < r for cs, r in zip(colors, rs) for c in cs)
-            assert _first_good_bcopy(nb, members, caps, colors) is None
+            assert _first_good_bcopy(_bcopy_rows(nb, members), caps,
+                                     colors) is None
         else:
             # the search gives up only at the end of its budget
             assert steps == budget
@@ -397,7 +399,8 @@ class TestRefuteMode:
         if res.verdict == FAILS:
             colors = [[c.color_of(key) for key in keys]
                       for c, keys in zip(res.colorings, inst.pattern_copies)]
-            assert _first_good_bcopy(len(inst.bcopy_keys), inst.pattern_members,
+            assert _first_good_bcopy(_bcopy_rows(len(inst.bcopy_keys),
+                                                 inst.pattern_members),
                                      ds, colors) is None
         if res.verdict == HOLDS:
             # no live pattern, or one whose search exhausts on its half
@@ -443,7 +446,8 @@ class TestRefuteMode:
         if verdict == FAILS:
             assert [len(c) for c in colors] == list(sizes)
             assert all(0 <= c < r for cs, r in zip(colors, rs) for c in cs)
-            assert _first_good_bcopy(nb, members, caps, colors) is None
+            assert _first_good_bcopy(_bcopy_rows(nb, members), caps,
+                                     colors) is None
 
     @pytest.mark.parametrize("n,b,a,r", [(10, 3, 2, 3), (8, 4, 3, 2)])
     @pytest.mark.parametrize("seed", range(3))

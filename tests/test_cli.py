@@ -9,9 +9,9 @@ import pytest
 from ramseykit import (Coloring, FormulaSet, Structure, coloring_lines,
                        indexed_sequence, linear_order, linear_orders,
                        parse_certificate, parse_formula, parse_structure_file,
-                       serialize_class, serialize_sequence,
+                       pure_set, serialize_class, serialize_sequence,
                        serialize_structure, write_certificate)
-from ramseykit import classes
+from ramseykit import classes, indiscernibles
 from ramseykit.cli import build_parser, main
 
 from conftest import graph
@@ -41,6 +41,17 @@ def write_parity_sequence(tmp_path):
     p = tmp_path / "parity.seq"
     p.write_text(serialize_sequence(I, delta))
     return str(p)
+
+
+def write_pentagon_sequence(tmp_path):
+    """c5.seq, on which no copy of k2.struct is indiscernible: an edge of
+    the pentagon is a pair of indices read both ways by ``<``."""
+    pentagon = graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], name="C5")
+    I = indexed_sequence(pentagon, linear_order(5), list(range(5)))
+    delta = FormulaSet((parse_formula("<(x0, x1)"),))
+    (tmp_path / "c5.seq").write_text(serialize_sequence(I, delta))
+    (tmp_path / "k2.struct").write_text(
+        serialize_structure(graph(2, [(0, 1)], name="K2")))
 
 
 def subparsers():
@@ -506,6 +517,62 @@ class TestSequenceCommands:
         cert = parse_certificate((tmp_path / "x.cert").read_text())
         assert cert.verdict == "NONE"
         assert cert.payload_value("candidates") == "10"
+        assert main(["verify", "x.cert"]) == 0
+
+    def test_extract_found_resigned_as_none_fails(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.chdir(tmp_path)
+        seq = write_parity_sequence(tmp_path)
+        (lo3,) = write_orders(tmp_path, 3)
+        assert main(["extract", seq, lo3, "--out", "x.cert"]) == 0
+        cert = parse_certificate((tmp_path / "x.cert").read_text())
+        payload = tuple(line for line in cert.payload
+                        if not line.startswith("embedding "))
+        write_certificate(dataclasses.replace(cert, verdict="NONE",
+                                              payload=payload), "x.cert")
+        capsys.readouterr()
+        assert main(["verify", "x.cert"]) == 1
+        assert "stays within every cap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("forged", ["0", "9", "11"])
+    def test_extract_none_with_another_count_fails(self, tmp_path, monkeypatch,
+                                                   forged):
+        monkeypatch.chdir(tmp_path)
+        write_pentagon_sequence(tmp_path)
+        assert main(["extract", "c5.seq", "k2.struct", "--out", "x.cert"]) == 1
+        resign(tmp_path / "x.cert", "candidates 10", f"candidates {forged}")
+        assert main(["verify", "x.cert"]) == 1
+
+    def test_extract_none_replay_stops_past_the_recorded_count(
+            self, tmp_path, monkeypatch):
+        # 1000 points, two to a target point: the first copy of the
+        # 3-element pure set whose pairs are all distinct or all equal in
+        # the target is (0, 2, 4), the 1001st candidate
+        monkeypatch.chdir(tmp_path)
+        write_pentagon_sequence(tmp_path)
+        assert main(["extract", "c5.seq", "k2.struct", "--out", "x.cert"]) == 1
+        cert = parse_certificate((tmp_path / "x.cert").read_text())
+        I = indexed_sequence(pure_set(1000), pure_set(500),
+                             [i // 2 for i in range(1000)])
+        texts = {"sequence": serialize_sequence(
+                     I, FormulaSet((parse_formula("x0 = x1"),))),
+                 "pattern": serialize_structure(pure_set(3))}
+        sections = tuple((label, texts[label]) for label, _ in cert.sections)
+        payload = tuple("candidates 3" if line.startswith("candidates ")
+                        else line for line in cert.payload)
+        write_certificate(dataclasses.replace(cert, sections=sections,
+                                              payload=payload), "x.cert")
+        drawn = []
+        real = indiscernibles.iter_embeddings
+
+        def counting(host, pattern):
+            for g in real(host, pattern):
+                drawn.append(g)
+                yield g
+
+        monkeypatch.setattr(indiscernibles, "iter_embeddings", counting)
+        assert main(["verify", "x.cert"]) == 1
+        assert len(drawn) == 4
 
 
 class TestAtomicOutputs:

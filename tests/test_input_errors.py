@@ -28,7 +28,7 @@ from ramseykit import certificates, cli, fileformat
 from ramseykit.cli import main
 
 from conftest import graph
-from test_cli import resign, write_orders
+from test_cli import resign, write_orders, write_pentagon_sequence
 
 
 def run(argv) -> int:
@@ -317,6 +317,7 @@ def emitted(tmp_path_factory):
                                   [0, 1, 0])
         (work / "p.seq").write_text(serialize_sequence(
             parity, FormulaSet((parse_formula("E(x0, x1)"),))))
+        write_pentagon_sequence(work)
         runs = [
             ["arrow", lo5, lo3, lo2, "--colors", "2", "--budget", "1000"],
             ["joint-arrow", lo5, lo3, lo2, "--colors", "2", "--mode",
@@ -333,10 +334,11 @@ def emitted(tmp_path_factory):
             ["indiscernible", "p.seq"],
             ["extract", "p.seq", lo2],
             ["elf", lo5, "--tuple", "1,3"],
+            ["extract", "c5.seq", "k2.struct"],
         ]
         paths = []
         for argv in runs:
-            out = str(work / f"{argv[0]}.cert")
+            out = str(work / f"{argv[0]}{len(paths)}.cert")
             assert run(argv + ["--out", out]) in (0, 1, 2), argv
             paths.append(out)
     return work, paths
@@ -375,7 +377,7 @@ def replays_or_rejects(work, lines) -> None:
     assert run(["verify", str(mutated)]) in (0, 1, 3)
 
 
-@pytest.mark.parametrize("kind", range(11))
+@pytest.mark.parametrize("kind", range(12))
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
