@@ -11,7 +11,9 @@ FAILS by its colorings, a HOLDS that needs no search by the rule that
 settles it, and an extract NONE by its scan: the joint arrow under the
 Δ-type colouring, caps 1.  Other exhaustion verdicts carry no polynomial
 witness, so replay checks their instance arithmetic and says so rather
-than silently re-searching.  A class section may not hold a ``generate`` row.
+than silently re-searching.  A class section may not hold a ``generate`` row,
+and a verdict that the certificate's kind never emits is refused before
+its replay rule runs.
 
 Rendering is deterministic: no timestamps, no absolute paths, fixed
 ordering, so equal (input, config, seed) gives byte-identical files.
@@ -228,9 +230,12 @@ def replay_certificate(cert: Certificate) -> ReplayReport:
     verdict was reproduced (for witness verdicts) or is consistent with
     the recorded run (for exhaustion verdicts, noted explicitly).
     """
-    handler = _REPLAYERS.get(cert.kind)
-    if handler is None:
+    if cert.kind not in _REPLAYERS:
         raise CertificateError(f"no replay rule for kind {cert.kind!r}")
+    handler, verdicts = _REPLAYERS[cert.kind]
+    if cert.verdict not in verdicts:
+        raise CertificateError(f"kind {cert.kind!r} never emits verdict "
+                               f"{cert.verdict!r}")
     report = ReplayReport(True, cert.verdict)
     handler(cert, report)
     return report
@@ -278,8 +283,8 @@ def _check_arrow(cert: Certificate, report: ReplayReport, nb: int, keys,
     ``keys[p]``, the member lists ``members[p]`` and its colour lines under
     ``prefixes[p]``.  FAILS holds if every part colours exactly its copies
     and no target copy stays within every cap; HOLDS by
-    :func:`arrows._settled`, or by one live part's exhaustive search; any
-    other verdict records a budgeted run."""
+    :func:`arrows._settled`, or by one live part's exhaustive search; an
+    INCONCLUSIVE records a budgeted run."""
     if cert.payload_int("bcopies") != nb:
         report.fail("recorded copy counts do not match the inputs")
         return
@@ -484,16 +489,21 @@ def _replay_generate(cert: Certificate, report: ReplayReport) -> None:
         report.fail("regenerated class differs from the recorded one")
 
 
+_ARROW_VERDICTS = (arrows.HOLDS, arrows.FAILS, arrows.INCONCLUSIVE)
+
+# each kind's replay rule and the verdicts its subcommand emits
 _REPLAYERS = {
-    "arrow": _replay_arrow,
-    "joint-arrow": _replay_joint,
-    "degree": _replay_degree,
-    "orderable": _replay_orderable,
-    "class-check": _replay_class_check,
-    "expand": _replay_expand,
-    "isolate": _replay_expand,
-    "indiscernible": _replay_indiscernible,
-    "extract": _replay_extract,
-    "elf": _replay_elf,
-    "generate": _replay_generate,
+    "arrow": (_replay_arrow, _ARROW_VERDICTS),
+    "joint-arrow": (_replay_joint, _ARROW_VERDICTS),
+    "degree": (_replay_degree, ("WITNESS", "IMPOSSIBLE", arrows.INCONCLUSIVE)),
+    "orderable": (_replay_orderable,
+                  ("ORDERABLE", "NOT-ORDERABLE", arrows.INCONCLUSIVE)),
+    "class-check": (_replay_class_check, ("PASS", "FAIL", arrows.INCONCLUSIVE)),
+    "expand": (_replay_expand, ("DONE",)),
+    "isolate": (_replay_expand, ("DONE",)),
+    "indiscernible": (_replay_indiscernible,
+                      ("INDISCERNIBLE", "NOT-INDISCERNIBLE")),
+    "extract": (_replay_extract, ("FOUND", "NONE")),
+    "elf": (_replay_elf, ("DONE",)),
+    "generate": (_replay_generate, ("DONE",)),
 }

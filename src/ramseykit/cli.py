@@ -11,14 +11,17 @@ writes every certificate, prints its echo lines and maps the verdict to the
 exit code.  A subcommand declares ``--budget`` only if it searches and
 ``--seed`` only if it makes random choices (sample mode's draws, refute
 mode's local search); ``config:`` records the ``--budget``, ``--seed`` and
-``--mode`` it has.  The budget defaults to 10^7, or ``RAMSEYKIT_BUDGET``;
-``main`` checks that it is positive, and that the command line the
-certificate records is UTF-8 text, first.
+``--mode`` it has.  The parser is built once per process, on the first
+``main`` call.  The budget defaults to 10^7, or ``RAMSEYKIT_BUDGET``, which
+``main`` reads on each call and only for subcommands that declare
+``--budget``; it checks that the budget is positive, and that the command
+line the certificate records is UTF-8 text, first.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -294,8 +297,7 @@ def _cmd_verify(args, command: str) -> int:
 def _common(sub, *, budget=False, seed=False, modes=()) -> None:
     """``--out``, and ``--budget``, ``--seed`` and ``--mode`` where read."""
     if budget:
-        sub.add_argument("--budget", type=int,
-                         default=os.environ.get("RAMSEYKIT_BUDGET") or DEFAULT_BUDGET,
+        sub.add_argument("--budget", type=int, default=None,
                          help="search nodes, plus local-search steps in refute "
                               "mode (env RAMSEYKIT_BUDGET)")
     if seed:
@@ -305,6 +307,7 @@ def _common(sub, *, budget=False, seed=False, modes=()) -> None:
         sub.add_argument("--mode", choices=modes, default=modes[0])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramseykit",
@@ -416,9 +419,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     command = "ramseykit " + " ".join(argv)
@@ -428,8 +430,18 @@ def main(argv=None) -> int:
         except UnicodeEncodeError:
             # certificates are UTF-8 text and record the command line
             raise InputError("arguments must be UTF-8 text") from None
-        if "budget" in args and args.budget <= 0:
-            raise ArrowError("budget must be positive")
+        if "budget" in args:
+            if args.budget is None:
+                # read here, not into the shared parser, so that each call
+                # sees the environment as it is
+                value = os.environ.get("RAMSEYKIT_BUDGET") or DEFAULT_BUDGET
+                try:
+                    args.budget = int(value)
+                except ValueError:
+                    raise InputError("RAMSEYKIT_BUDGET: invalid int value: "
+                                     f"{value!r}") from None
+            if args.budget <= 0:
+                raise ArrowError("budget must be positive")
         return _HANDLERS[args.subcommand](args, command)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,12 +26,15 @@ def write_orders(tmp_path, *sizes):
     return paths
 
 
-def resign(path, old, new):
-    """Replace one payload line of a certificate and re-sign it."""
+def resign(path, old=None, new=None, **fields):
+    """Replace one payload line of a certificate, or any of its header
+    ``fields``, and re-sign it."""
     cert = parse_certificate(path.read_text())
-    assert old in cert.payload
-    payload = tuple(new if line == old else line for line in cert.payload)
-    write_certificate(dataclasses.replace(cert, payload=payload), str(path))
+    if old is not None:
+        assert old in cert.payload
+        fields["payload"] = tuple(new if line == old else line
+                                  for line in cert.payload)
+    write_certificate(dataclasses.replace(cert, **fields), str(path))
 
 
 def write_parity_sequence(tmp_path):
@@ -326,6 +329,67 @@ class TestJointAndDegree:
         monkeypatch.setenv("RAMSEYKIT_BUDGET", "abc")
         assert main(["generate", "linear-orders", "--upto", "3",
                      "--out", "g.cert"]) == 0
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; every call still reads
+    its own arguments and the environment as they are."""
+
+    def test_two_calls_build_the_parser_once(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        built = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(parser, **kwargs):
+            built.append(parser)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        build_parser.cache_clear()
+        for out in ("g1.cert", "g2.cert"):
+            assert main(["generate", "linear-orders", "--upto", "3",
+                         "--out", out]) == 0
+        assert len(built) == 1
+        assert build_parser() is build_parser()
+
+    def test_the_environment_budget_is_read_on_each_call(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lo6, lo3, lo2 = write_orders(tmp_path, 6, 3, 2)
+        argv = ["arrow", lo6, lo3, lo2, "--colors", "2", "--out"]
+        monkeypatch.setenv("RAMSEYKIT_BUDGET", "10")
+        assert main(argv + ["a.cert"]) == 2
+        monkeypatch.delenv("RAMSEYKIT_BUDGET")
+        assert main(argv + ["b.cert"]) == 0
+        configs = [parse_certificate((tmp_path / name).read_text()).config
+                   for name in ("a.cert", "b.cert")]
+        assert configs == ["budget=10 seed=0 mode=decide",
+                           "budget=10000000 seed=0 mode=decide"]
+
+    def test_a_bad_environment_budget_after_a_good_call(self, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+        argv = ["arrow", lo5, lo3, lo2, "--colors", "2"]
+        assert main(argv + ["--out", "good.cert"]) == 1
+        capsys.readouterr()
+        monkeypatch.setenv("RAMSEYKIT_BUDGET", "abc")
+        assert main(argv) == 3
+        assert "invalid int value" in capsys.readouterr().err
+        assert not (tmp_path / "arrow.cert").exists()
+        assert main(["generate", "linear-orders", "--upto", "3",
+                     "--out", "g.cert"]) == 0
+
+    def test_nothing_carries_over_between_calls(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+        argv = ["arrow", lo5, lo3, lo2, "--colors", "2"]
+        assert main(argv + ["--mode", "refute", "--out", "x.cert"]) == 1
+        assert main(argv) == 1
+        config = parse_certificate((tmp_path / "arrow.cert").read_text()).config
+        assert "mode=decide" in config.split()
+        assert "mode=refute" in \
+            parse_certificate((tmp_path / "x.cert").read_text()).config.split()
 
 
 class TestClassCommands:

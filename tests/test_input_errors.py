@@ -72,6 +72,28 @@ class TestCertificateInput:
         assert main(["verify", "g.cert"]) == 3
         assert "no class family 'nope'" in capsys.readouterr().err
 
+    def test_a_verdict_its_kind_never_emits_exits_three(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # MAYBE once replayed as a budgeted run, and FOUNDX as an extract NONE
+        monkeypatch.chdir(tmp_path)
+        lo5, lo3, lo2 = write_orders(tmp_path, 5, 3, 2)
+        write_pentagon_sequence(tmp_path)
+        assert main(["arrow", lo5, lo3, lo2, "--colors", "2",
+                     "--out", "a.cert"]) == 1
+        assert main(["extract", "c5.seq", "k2.struct", "--out", "x.cert"]) == 1
+        capsys.readouterr()
+        for path, verdict in (("a.cert", "MAYBE"), ("x.cert", "FOUNDX")):
+            resign(tmp_path / path, verdict=verdict)
+            assert main(["verify", path]) == 3
+            err = capsys.readouterr().err
+            assert f"never emits verdict '{verdict}'" in err
+            assert "Traceback" not in err
+
+    def test_every_exit_code_verdict_is_some_kind_s_verdict(self):
+        emitted = {verdict for _, verdicts in certificates._REPLAYERS.values()
+                   for verdict in verdicts}
+        assert emitted == set(cli._EXIT)
+
     @pytest.fixture
     def no_recomputation(self, monkeypatch):
         """Replay that reaches a recomputation raises instead of running it,
