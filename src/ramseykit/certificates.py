@@ -8,12 +8,14 @@ re-verified, derivations are recomputed and compared, but the bad-coloring
 search itself never runs again.  Single and joint arrows alike check
 their recorded target-copy count, and one rule checks their verdicts: a
 FAILS by its colorings, a HOLDS that needs no search by the rule that
-settles it, and an extract NONE by its scan: the joint arrow under the
-Δ-type colouring, caps 1.  Other exhaustion verdicts carry no polynomial
-witness, so replay checks their instance arithmetic and says so rather
-than silently re-searching.  A class section may not hold a ``generate`` row,
-and a verdict that the certificate's kind never emits is refused before
-its replay rule runs.
+settles it, and an extract FOUND or NONE by its scan, which must end at
+the recorded candidate count: the joint arrow under the Δ-type colouring,
+caps 1.  A NOT-ORDERABLE is checked by its symmetric pair, or by leaves
+whose orientation prefixes tile every choice and each close a 3-cycle.
+Other exhaustion verdicts carry no polynomial witness, so replay checks
+their instance arithmetic and says so rather than silently re-searching.
+A class section may not hold a ``generate`` row, and a verdict that the
+certificate's kind never emits is refused before its replay rule runs.
 
 Rendering is deterministic: no timestamps, no absolute paths, fixed
 ordering, so equal (input, config, seed) gives byte-identical files.
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field
 
 from . import arrows
 from .arrows import Coloring, build_instance
-from .classes import GENERATORS, elf_minimize, order_every_member
+from .classes import GENERATORS, elf_minimize, order_every_member, \
+    orientation_classes
 from .embeddings import Embedding, EmbeddingError, automorphism_group
 from .expansions import isolator, qf_type_morleyisation
 from .indiscernibles import (_first_indiscernible_copy, check_locally_based,
@@ -350,16 +353,22 @@ def _recorded_class(cert: Certificate):
     return parse_class_file(text)
 
 
+def _member_points(F, row: str, what: str, count: int):
+    """The member and ``count`` distinct points a ``<position> <a,b,...>`` row names."""
+    mi, _, points = row.partition(" ")
+    mi, points = read_natural(mi, f"{what} member"), decode_key(points)
+    if mi >= len(F.members) or len(set(points)) != count or len(points) != count \
+            or max(points) >= F.members[mi].size:
+        raise CertificateError(f"{what} row {row!r} names no {count} distinct "
+                               "points of a class member")
+    return F.members[mi], points
+
+
 def _replay_orderable(cert: Certificate, report: ReplayReport) -> None:
     F = _recorded_class(cert)
     if cert.verdict == "ORDERABLE":
-        types = []
-        for row in cert.payload_values("phi"):
-            mi, _, tup = row.partition(" ")
-            mi = read_natural(mi, "phi member")
-            if mi >= len(F.members):
-                raise CertificateError(f"phi row {row!r} names no class member")
-            types.append(qftp(F.members[mi], decode_key(tup)))
+        types = [qftp(*_member_points(F, row, "phi", 2))
+                 for row in cert.payload_values("phi")]
         relations = order_every_member(F, frozenset(types))
         bad = [i for i, rel in enumerate(relations)
                if not rel.is_strict_linear_order]
@@ -368,9 +377,38 @@ def _replay_orderable(cert: Certificate, report: ReplayReport) -> None:
         else:
             report.add(f"type union re-verified as a strict linear order on "
                        f"all {len(F.members)} members")
+        return
+    leaves = cert.payload_values("leaf")
+    if cert.payload_int("tried") != len(leaves):
+        report.fail(f"tried does not count the {len(leaves)} leaves")
+        return
+    if cert.payload_values("symmetric"):
+        M, (a, b) = _member_points(F, cert.payload_value("symmetric"), "symmetric", 2)
+        if qftp(M, (a, b)) == qftp(M, (b, a)):
+            report.add("symmetric pair re-verified: its type is its own transpose")
+        else:
+            report.fail("the symmetric pair's type differs from its transpose")
+        return
+    _, classes, orient = orientation_classes(F)
+    k, at = len(classes), 0
+    for row in leaves:
+        bits, _, rest = row.partition(" ")
+        if not re.fullmatch("[01]+", bits):
+            raise CertificateError(f"leaf row {row!r} has no orientation prefix")
+        M, cycle = _member_points(F, rest, "leaf", 3)
+        if len(bits) > k or int(bits, 2) << (k - len(bits)) != at:
+            report.fail(f"leaf {bits} breaks the tiling of the {k} orientation classes")
+            return
+        at += 1 << (k - len(bits))
+        if any(bits[i:i + 1] != str(o) for i, o in
+               (orient[qftp(M, p)] for p in zip(cycle, cycle[1:] + cycle[:1]))):
+            report.fail(f"leaf {row!r} names no 3-cycle under its prefix")
+            return
+    if at != 1 << k:
+        report.fail(f"the leaves cover {at} of the 2^{k} orientation choices")
     else:
-        report.add(f"{cert.verdict} records an exhausted orientation search; "
-                   "replay checks the class parses")
+        report.add(f"refutation re-verified: {len(leaves)} leaves tile the {k} "
+                   "orientation classes, each closing a 3-cycle")
 
 
 def _replay_class_check(cert: Certificate, report: ReplayReport) -> None:
@@ -428,9 +466,13 @@ def _replay_extract(cert: Certificate, report: ReplayReport) -> None:
     if N_target.size < least_cap(I, delta):
         report.fail(f"a pattern of {N_target.size} elements misses some delta formula")
         return
+    # the scan stops at the recorded count, one candidate past it for a
+    # NONE, so a forged count bounds the work instead of the index size
+    recorded = cert.payload_int("candidates")
+    first, drawn = _first_indiscernible_copy(I, N_target, delta,
+                                             recorded + (cert.verdict == "NONE"))
     if cert.verdict == "FOUND":
-        mapping = decode_key(cert.payload_value("embedding"))
-        g = Embedding(N_target, I.index, mapping)
+        g = Embedding(N_target, I.index, decode_key(cert.payload_value("embedding")))
         try:
             g.validate()
         except EmbeddingError as exc:
@@ -439,23 +481,21 @@ def _replay_extract(cert: Certificate, report: ReplayReport) -> None:
         J = reindex(I, g)
         ok, _ = is_indiscernible(J, delta, N_target.size)
         based, _, _ = check_locally_based(J, I, delta, N_target.size)
-        if ok and based:
-            report.add("extraction re-verified: indiscernible and locally based")
+        if first is None or drawn != recorded or first.mapping != g.mapping:
+            report.fail(f"the scan does not end on the recorded embedding at "
+                        f"candidate {recorded}")
+        elif ok and based:
+            report.add("extraction re-verified: the scan's first survivor, "
+                       "indiscernible and locally based")
         else:
             report.fail("recorded embedding fails re-verification")
+    elif first is not None:
+        report.fail(f"candidate {drawn} stays within every cap")
+    elif drawn != recorded:
+        report.fail(f"recorded candidate count {recorded} does not match the scan")
     else:
-        # the scan stops one candidate past the recorded count, so a forged
-        # count bounds the work instead of the index size
-        recorded = cert.payload_int("candidates")
-        g, drawn = _first_indiscernible_copy(I, N_target, delta, recorded + 1)
-        if g is not None:
-            report.fail(f"candidate {drawn} stays within every cap")
-        elif drawn != recorded:
-            report.fail(f"recorded candidate count {recorded} does not match "
-                        "the scan")
-        else:
-            report.add(f"NONE re-verified: none of the {drawn} candidates stays "
-                       "within every cap")
+        report.add(f"NONE re-verified: none of the {drawn} candidates stays "
+                   "within every cap")
 
 
 def _replay_elf(cert: Certificate, report: ReplayReport) -> None:
@@ -496,8 +536,7 @@ _REPLAYERS = {
     "arrow": (_replay_arrow, _ARROW_VERDICTS),
     "joint-arrow": (_replay_joint, _ARROW_VERDICTS),
     "degree": (_replay_degree, ("WITNESS", "IMPOSSIBLE", arrows.INCONCLUSIVE)),
-    "orderable": (_replay_orderable,
-                  ("ORDERABLE", "NOT-ORDERABLE", arrows.INCONCLUSIVE)),
+    "orderable": (_replay_orderable, ("ORDERABLE", "NOT-ORDERABLE")),
     "class-check": (_replay_class_check, ("PASS", "FAIL", arrows.INCONCLUSIVE)),
     "expand": (_replay_expand, ("DONE",)),
     "isolate": (_replay_expand, ("DONE",)),

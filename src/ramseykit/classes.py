@@ -476,77 +476,77 @@ def rigidity_scan(F: FiniteClass) -> tuple[Structure, ...]:
 class OrderabilityResult:
     """Search outcome over union-of-binary-types order definitions.
 
-    ORDERABLE carries the found type set and, for each type, its first
-    realizer (member position, pair) in member order and then
-    lexicographic order; NOT-ORDERABLE carries either a symmetric-type
-    witness (some distinct pair whose type equals its own transpose can
-    never be ordered) or the record of every rejected orientation choice.
+    ORDERABLE carries the found type set and each type's first realizer
+    (member position, pair), in member and then lexicographic order.
+    NOT-ORDERABLE carries a symmetric-type witness (a distinct pair whose
+    type is its own transpose is never ordered) and its realizer, or in
+    ``tried`` the search's dead ends, in order: ``(bits, member position,
+    (a, b, c))``, where orientation prefix ``bits`` makes a->b->c->a.
     """
 
-    verdict: str  # ORDERABLE | NOT-ORDERABLE | INCONCLUSIVE
+    verdict: str  # ORDERABLE | NOT-ORDERABLE
     types: tuple[QfType, ...]
     witness: tuple | None
     tried: tuple[tuple, ...]
     realizers: tuple[tuple[int, tuple[int, int]], ...] = ()
 
 
-def orderability_search(F: FiniteClass, *,
-                        max_assignments: int = 1 << 16) -> OrderabilityResult:
-    """Hunt a set of binary types whose union linearly orders every member.
-
-    Off-diagonal pair types come in transpose pairs; a valid set picks
-    exactly one orientation of each (totality and antisymmetry are then
-    automatic), so the search walks all orientation choices and tests
-    transitivity member by member.  A realized type equal to its own
-    transpose kills every candidate at once.
-    """
+def orientation_classes(F: FiniteClass):
+    """``(realizer, classes, orient)``: each off-diagonal pair type's first
+    realizer, the classes ``(t, transpose of t)`` in order of first
+    realization, and ``orient[t] = (i, o)`` when t is entry o of class i."""
     realizer: dict[QfType, tuple[int, tuple[int, int]]] = {}
     for mi, M in enumerate(F.members):
-        for t, group in tuples_by_type(M, 2).items():
-            a, b = group[0]
+        for t, ((a, b), *_) in tuples_by_type(M, 2).items():
             if a != b:
-                realizer.setdefault(t, (mi, group[0]))
-    transpose = {}
-    for t, (mi, (a, b)) in realizer.items():
-        transpose[t] = qftp(F.members[mi], (b, a))
-    for t in sorted(realizer, key=lambda t: t.sort_key()):
-        if transpose[t] == t:
-            mi, pair = realizer[t]
-            return OrderabilityResult(
-                "NOT-ORDERABLE", (), (F.members[mi].name, pair, type_digest(t)), ())
+                realizer.setdefault(t, (mi, (a, b)))
+    classes, orient = [], {}
+    for t in sorted(realizer, key=realizer.__getitem__):
+        if t not in orient:
+            mi, (a, b) = realizer[t]
+            u = qftp(F.members[mi], (b, a))
+            orient[u], orient[t] = (len(classes), 1), (len(classes), 0)
+            classes.append((t, u))
+    return realizer, classes, orient
 
-    classes = []
-    done = set()
-    for t in sorted(realizer, key=lambda t: realizer[t]):
-        if t in done:
-            continue
-        done.add(t)
-        done.add(transpose[t])
-        classes.append((t, transpose[t]))  # first element tried first
 
-    if 2 ** len(classes) > max_assignments:
-        return OrderabilityResult(
-            "INCONCLUSIVE", (), None,
-            ((f"{len(classes)} orientation classes exceed the assignment cap",),))
+def orderability_search(F: FiniteClass) -> OrderabilityResult:
+    """Hunt a set of binary types whose union linearly orders every member.
 
-    tried = []
-    for choice in itertools.product((0, 1), repeat=len(classes)):
-        phi = [pair[c] for pair, c in zip(classes, choice)]
-        violation = None
-        for M in F.members:
-            rel = define_by_type_union(M, phi)
-            if not rel.is_strict_linear_order:
-                flags = {"irreflexive": rel.irreflexive,
-                         "antisymmetric": rel.antisymmetric,
-                         "transitive": rel.transitive, "total": rel.total}
-                bad = sorted(k for k, v in flags.items() if not v)
-                violation = (M.name, tuple(bad))
-                break
-        if violation is None:
-            return OrderabilityResult("ORDERABLE", tuple(phi), None, tuple(tried),
-                                      tuple(realizer[t] for t in phi))
-        tried.append((choice, *violation))
-    return OrderabilityResult("NOT-ORDERABLE", (), None, tuple(tried))
+    A realized type equal to its own transpose kills every candidate at
+    once.  Otherwise a valid set picks one orientation of each transpose
+    class, and the union is a tournament on every member: an order unless
+    some triple is a 3-cycle.  Each 3-cycle is checked when its highest
+    class is set, and the search backtracks over the classes, entry 0
+    first, so an order it finds is the lexicographically least one.
+    """
+    realizer, classes, orient = orientation_classes(F)
+    for t in sorted((t for t, u in classes if t == u), key=lambda t: t.sort_key()):
+        mi, pair = realizer[t]
+        return OrderabilityResult("NOT-ORDERABLE", (), (
+            F.members[mi].name, pair, type_digest(t)), (), (realizer[t],))
+    closing = [[] for _ in classes]  # closing[i]: the 3-cycles whose top class is i
+    for mi, M in enumerate(F.members):
+        pick = {p: orient.get(t) for t, ps in tuples_by_type(M, 2).items() for p in ps}
+        for a, b, c in itertools.combinations(range(M.size), 3):
+            picks = {pick[a, b], pick[b, c], pick[c, a]}  # reversed, each class flips
+            if len({i for i, _ in picks}) == len(picks):
+                closing[max(picks)[0]] += [(picks, mi, (a, b, c)),
+                                           ({(i, 1 - o) for i, o in picks}, mi, (a, c, b))]
+    bits, tried = [], []
+    while len(bits) < len(classes):
+        bits.append(0)
+        while dead := next(((mi, cycle) for picks, mi, cycle in closing[len(bits) - 1]
+                            if all(bits[i] == o for i, o in picks)), None):
+            tried.append(("".join(map(str, bits)), *dead))
+            while bits and bits[-1]:
+                bits.pop()
+            if not bits:
+                return OrderabilityResult("NOT-ORDERABLE", (), None, tuple(tried))
+            bits[-1] = 1
+    phi = tuple(pair[o] for pair, o in zip(classes, bits))
+    return OrderabilityResult("ORDERABLE", phi, None, tuple(tried),
+                              tuple(realizer[t] for t in phi))
 
 
 def order_every_member(F: FiniteClass, types) -> tuple[TypeUnionRelation, ...]:

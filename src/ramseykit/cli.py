@@ -188,14 +188,15 @@ def _cmd_class_check(args, command: str) -> int:
 
 def _cmd_orderable(args, command: str) -> int:
     F = _parse(args.classfile, parse_class_file)
-    result = orderability_search(F, max_assignments=args.max_assignments)
+    result = orderability_search(F)
+    found = result.verdict == "ORDERABLE"
     payload = [f"tried {len(result.tried)}"]
-    echo = [f"verdict: {result.verdict}",
-            f"orientation sets tried: {len(result.tried)}"]
-    if result.verdict == "ORDERABLE":
-        payload.extend(f"phi {mi} {encode_key(pair)}"
-                       for mi, pair in result.realizers)
-        echo.append(f"defining types: {len(result.types)}")
+    payload.extend(f"{'phi' if found else 'symmetric'} {mi} {encode_key(pair)}"
+                   for mi, pair in result.realizers)
+    payload.extend(f"leaf {bits} {mi} {encode_key(cycle)}"
+                   for bits, mi, cycle in result.tried if not found)
+    echo = [f"verdict: {result.verdict}", f"dead ends: {len(result.tried)}",
+            f"defining types: {len(result.types)}"]
     return _certify(args, command, "orderable", result.verdict, echo,
                     sections=(("class", serialize_class(F)),), payload=payload)
 
@@ -361,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("orderable", help="search for an ordering type union")
     p.add_argument("classfile")
-    p.add_argument("--max-assignments", type=int, default=1 << 16)
     _common(p)
 
     for kind in ("expand", "isolate"):

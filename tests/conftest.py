@@ -4,13 +4,14 @@ import itertools
 
 from hypothesis import strategies as st
 
-from ramseykit import Signature, Structure
+from ramseykit import Signature, Structure, finite_class
 
 GRAPH_SIG = Signature((("E", 2),), (), ())
 TWO_REL_SIG = Signature((("E", 2), ("F", 2)), (), ())
 FN_SIG = Signature((("E", 2),), (("s", 1),), ())
 CONST_SIG = Signature((("E", 2),), (("s", 1),), ("e",))
 MIXED_SIG = Signature((("P", 1), ("R", 2), ("T", 3)), (), ())
+BINARY_UNARY_SIG = Signature((("E", 2), ("P", 1)), (), ())
 
 
 def graph(n, edges, name=""):
@@ -70,3 +71,48 @@ def mixed_arity_tuples(draw, max_size=5, max_tuple=4):
     M = Structure(MIXED_SIG, n, rels, {}, {})
     k = draw(st.integers(0, max_tuple))
     return M, tuple(draw(st.integers(0, n - 1)) for _ in range(k))
+
+
+@st.composite
+def oriented_structures(draw, min_size=1, max_size=4):
+    """E holds exactly one way on each pair of distinct points, loops at
+    will, and a unary P: no pair type is its own transpose, so orderability
+    is settled by the orientation search, not the symmetric-type check."""
+    n = draw(st.integers(min_size, max_size))
+    arcs = {(a, b) if draw(st.booleans()) else (b, a)
+            for a, b in itertools.combinations(range(n), 2)}
+    arcs |= {(a, a) for a in draw(st.sets(st.integers(0, n - 1)))}
+    unary = {(a,) for a in draw(st.sets(st.integers(0, n - 1)))}
+    return Structure(BINARY_UNARY_SIG, n, {"E": arcs, "P": unary}, {}, {})
+
+
+@st.composite
+def binary_unary_structures(draw, max_size=4):
+    """Any E and any unary P: most of these realize a symmetric pair type."""
+    n = draw(st.integers(1, max_size))
+    pairs = list(itertools.product(range(n), repeat=2))
+    arcs = draw(st.sets(st.sampled_from(pairs)))
+    unary = {(a,) for a in draw(st.sets(st.integers(0, n - 1)))}
+    return Structure(BINARY_UNARY_SIG, n, {"E": arcs, "P": unary}, {}, {})
+
+
+def coloured_class(colours, upto, relation, oriented):
+    """Every structure on 1..upto points whose points each lie in exactly
+    one of the unary relations P0, P1, ..., one per colour, and whose binary
+    ``relation`` holds one way on each pair of distinct points: a < b, or,
+    if ``oriented``, every choice of direction; up to isomorphism."""
+    sig = Signature(((relation, 2),) + tuple((f"P{c}", 1) for c in range(colours)),
+                    (), ())
+    members = []
+    for size in range(1, upto + 1):
+        pairs = list(itertools.combinations(range(size), 2))
+        for flips in itertools.product((False, True) if oriented else (False,),
+                                       repeat=len(pairs)):
+            arcs = {(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)}
+            for paint in itertools.product(range(colours), repeat=size):
+                rels = {f"P{c}": {(x,) for x in range(size) if paint[x] == c}
+                        for c in range(colours)}
+                rels[relation] = arcs
+                members.append(Structure(sig, size, rels, {}, {},
+                                         name=f"m{len(members)}"))
+    return finite_class(members)

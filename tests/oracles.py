@@ -11,8 +11,9 @@ import itertools
 import random
 
 from ramseykit import (PropertyReport, Structure, canonical_certificate,
-                       canonical_form, substructure_closure)
-from ramseykit.classes import GRAPH_SIGNATURE
+                       canonical_form, define_by_type_union, qftp,
+                       substructure_closure, tuples_by_type, type_digest)
+from ramseykit.classes import GRAPH_SIGNATURE, OrderabilityResult
 
 
 def oracle_is_embedding(pattern: Structure, host: Structure, mapping) -> bool:
@@ -460,6 +461,40 @@ def oracle_canonical_search(size, rel_items, fn_items, const_items, pointing=())
 
     rec(_dense_ranks(init_keys))
     return best[0], best[1]
+
+
+def oracle_orderability(F) -> OrderabilityResult:
+    """The orientation walk: every choice of one type from each transpose
+    class, in ``itertools.product`` order, evaluated on every member by
+    ``define_by_type_union``; the first choice that orders every member
+    wins.  A type equal to its own transpose refutes first.  ``tried``
+    lists the rejected choices."""
+    realizer = {}
+    for mi, M in enumerate(F.members):
+        for t, group in tuples_by_type(M, 2).items():
+            a, b = group[0]
+            if a != b:
+                realizer.setdefault(t, (mi, group[0]))
+    transpose = {t: qftp(F.members[mi], (b, a)) for t, (mi, (a, b)) in realizer.items()}
+    for t in sorted(realizer, key=lambda t: t.sort_key()):
+        if transpose[t] == t:
+            mi, pair = realizer[t]
+            return OrderabilityResult("NOT-ORDERABLE", (), (
+                F.members[mi].name, pair, type_digest(t)), (), (realizer[t],))
+    classes = []
+    done = set()
+    for t in sorted(realizer, key=lambda t: realizer[t]):
+        if t not in done:
+            done.update((t, transpose[t]))
+            classes.append((t, transpose[t]))
+    tried = []
+    for choice in itertools.product((0, 1), repeat=len(classes)):
+        phi = [pair[c] for pair, c in zip(classes, choice)]
+        if all(define_by_type_union(M, phi).is_strict_linear_order for M in F.members):
+            return OrderabilityResult("ORDERABLE", tuple(phi), None, tuple(tried),
+                                      tuple(realizer[t] for t in phi))
+        tried.append(choice)
+    return OrderabilityResult("NOT-ORDERABLE", (), None, tuple(tried))
 
 
 def oracle_graphs(n: int) -> list[Structure]:

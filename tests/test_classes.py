@@ -1,9 +1,10 @@
 """Finite classes, their structural properties, and orderability."""
 
 import itertools
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ramseykit import (GENERATORS, ClassError, FiniteClass, Structure,
                        ap_check, elf_minimize, erp_check, f_erp_check,
@@ -11,10 +12,14 @@ from ramseykit import (GENERATORS, ClassError, FiniteClass, Structure,
                        linear_order, linear_orders, order_every_member,
                        orderability_search, ordered_graphs, pure_set,
                        pure_sets, qftp, rigidity_scan)
-from ramseykit import classes
+from ramseykit import classes, serialize_class
+from ramseykit.cli import main
 
-from conftest import FN_SIG, binary_structures, functional_structures, graph
-from oracles import oracle_ap_report, oracle_graphs, oracle_jep_report
+from conftest import (FN_SIG, binary_structures, binary_unary_structures,
+                      coloured_class, functional_structures, graph,
+                      oriented_structures)
+from oracles import (oracle_ap_report, oracle_graphs, oracle_jep_report,
+                     oracle_orderability)
 
 
 def successor_chain(n):
@@ -290,9 +295,49 @@ class TestOrderability:
                          if p[0] != p[1] and qftp(M, p) == t)
             assert realizer == first
 
-    def test_assignment_cap(self):
-        res = orderability_search(ordered_graphs(3), max_assignments=1)
-        assert res.verdict == "INCONCLUSIVE"
+    def test_five_colour_words_are_orderable(self):
+        # 25 orientation classes: the walk this search replaced gave up
+        # before its first choice (2^25 is over its cap), which is an order
+        F = coloured_class(5, 2, "<", oriented=False)
+        res = orderability_search(F)
+        assert res.verdict == "ORDERABLE" and res.tried == ()
+        assert len(res.types) == 25
+        for rel in order_every_member(F, res.types):
+            assert rel.is_strict_linear_order
+
+    def test_four_coloured_tournaments_are_refuted_quickly(self, tmp_path,
+                                                          monkeypatch):
+        # the walk this search replaced took 65,536 choices, about 105 s
+        F = coloured_class(4, 3, "E", oriented=True)
+        assert len(F.members) == 108
+        start = time.process_time()
+        res = orderability_search(F)
+        assert time.process_time() - start < 1
+        assert res.verdict == "NOT-ORDERABLE" and res.witness is None
+        assert [bits for bits, _, _ in res.tried] == ["0", "1"]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.cls").write_text(serialize_class(F))
+        assert main(["orderable", "t.cls", "--out", "t.cert"]) == 1
+        assert main(["verify", "t.cert"]) == 0
+
+    # classes with a 3-point oriented member reach the search's dead ends
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(oriented_structures(min_size=3), min_size=1, max_size=4)
+           | st.lists(binary_unary_structures(), min_size=1, max_size=4))
+    def test_search_matches_the_orientation_walk(self, tmp_path, monkeypatch,
+                                                 members):
+        F = finite_class(members)
+        # the walk costs 2^k choices on a refuted class of k classes
+        assume(len(classes.orientation_classes(F)[1]) <= 10)
+        res, walk = orderability_search(F), oracle_orderability(F)
+        assert (res.verdict, res.types, res.realizers, res.witness) == \
+            (walk.verdict, walk.types, walk.realizers, walk.witness)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.cls").write_text(serialize_class(F))
+        assert main(["orderable", "f.cls", "--out", "f.cert"]) == \
+            (0 if res.verdict == "ORDERABLE" else 1)
+        assert main(["verify", "f.cert"]) == 0
 
 
 class TestElfMinimization:

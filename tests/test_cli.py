@@ -7,14 +7,15 @@ import os
 import pytest
 
 from ramseykit import (Coloring, FormulaSet, Structure, coloring_lines,
-                       indexed_sequence, linear_order, linear_orders,
-                       parse_certificate, parse_formula, parse_structure_file,
-                       pure_set, serialize_class, serialize_sequence,
-                       serialize_structure, write_certificate)
+                       finite_class, indexed_sequence, linear_order,
+                       linear_orders, parse_certificate, parse_formula,
+                       parse_structure_file, pure_set, serialize_class,
+                       serialize_sequence, serialize_structure,
+                       write_certificate)
 from ramseykit import classes, indiscernibles
 from ramseykit.cli import build_parser, main
 
-from conftest import graph
+from conftest import GRAPH_SIG, graph
 
 
 def write_orders(tmp_path, *sizes):
@@ -55,6 +56,14 @@ def write_pentagon_sequence(tmp_path):
     (tmp_path / "c5.seq").write_text(serialize_sequence(I, delta))
     (tmp_path / "k2.struct").write_text(
         serialize_structure(graph(2, [(0, 1)], name="K2")))
+
+
+def write_three_cycle_class(tmp_path):
+    """c3.cls, the one-member class of the directed 3-cycle: its one
+    orientation class closes a 3-cycle either way, so two leaves refute it."""
+    C3 = Structure(GRAPH_SIG, 3, {"E": {(0, 1), (1, 2), (2, 0)}}, {}, {},
+                   name="C3")
+    (tmp_path / "c3.cls").write_text(serialize_class(finite_class([C3])))
 
 
 def subparsers():
@@ -318,10 +327,10 @@ class TestJointAndDegree:
 
     def test_settable_value_count(self):
         # --seed on 9 subcommands and --budget on 7 that never read them
-        # made 77
+        # made 77; orderable's --max-assignments made 61
         assert sum(not isinstance(action, argparse._HelpAction)
                    for sub in subparsers().values()
-                   for action in sub._actions) == 61
+                   for action in sub._actions) == 60
 
     def test_environment_budget_is_read_only_where_declared(self, tmp_path,
                                                             monkeypatch):
@@ -427,8 +436,63 @@ class TestClassCommands:
         assert main(["orderable", "lo.cls", "--out", "o1.cert"]) == 0
         assert main(["verify", "o1.cert"]) == 0
         assert main(["orderable", "ps.cls", "--out", "o2.cert"]) == 1
-        assert parse_certificate(
-            (tmp_path / "o2.cert").read_text()).verdict == "NOT-ORDERABLE"
+        cert = parse_certificate((tmp_path / "o2.cert").read_text())
+        assert cert.verdict == "NOT-ORDERABLE"
+        assert cert.payload == ("tried 0", "symmetric 1 0,1")
+        assert main(["verify", "o2.cert"]) == 0
+
+    def test_orderable_refutation_by_leaves(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_three_cycle_class(tmp_path)
+        assert main(["orderable", "c3.cls", "--out", "o.cert"]) == 1
+        assert parse_certificate((tmp_path / "o.cert").read_text()).payload == (
+            "tried 2", "leaf 0 0 0,1,2", "leaf 1 0 0,2,1")
+        capsys.readouterr()
+        assert main(["verify", "o.cert"]) == 0
+        assert "2 leaves tile the 1 orientation classes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("forge,payload,code", [
+        ("no 3-cycle", ("tried 2", "leaf 0 0 0,2,1", "leaf 1 0 0,2,1"), 1),
+        ("dropped leaf", ("tried 1", "leaf 0 0 0,1,2"), 1),
+        ("duplicated leaf", ("tried 3", "leaf 0 0 0,1,2", "leaf 0 0 0,1,2",
+                             "leaf 1 0 0,2,1"), 1),
+        ("tried off by one", ("tried 3", "leaf 0 0 0,1,2", "leaf 1 0 0,2,1"), 1),
+        ("asymmetric pair", ("tried 0", "symmetric 0 0,1"), 1),
+        ("point outside", ("tried 2", "leaf 0 0 0,1,3", "leaf 1 0 0,2,1"), 3),
+        ("repeated point", ("tried 2", "leaf 0 0 0,1,1", "leaf 1 0 0,2,1"), 3),
+    ])
+    def test_forged_orderable_refutation_fails_replay(
+            self, tmp_path, monkeypatch, capsys, forge, payload, code):
+        monkeypatch.chdir(tmp_path)
+        write_three_cycle_class(tmp_path)
+        assert main(["orderable", "c3.cls", "--out", "o.cert"]) == 1
+        cert = parse_certificate((tmp_path / "o.cert").read_text())
+        write_certificate(dataclasses.replace(cert, payload=payload), "o.cert")
+        assert main(["verify", "o.cert"]) == code
+        assert "replay: ok" not in capsys.readouterr().out
+
+    def test_orderable_resigned_as_inconclusive_exits_three(self, tmp_path,
+                                                            monkeypatch):
+        # no orderable run stops early, so none emits INCONCLUSIVE
+        monkeypatch.chdir(tmp_path)
+        main(["generate", "linear-orders", "--upto", "4", "--out-class", "lo.cls"])
+        assert main(["orderable", "lo.cls", "--out", "o.cert"]) == 0
+        resign(tmp_path / "o.cert", verdict="INCONCLUSIVE")
+        assert main(["verify", "o.cert"]) == 3
+
+    def test_orderable_resigned_as_not_orderable_fails(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # once replayed ok: NOT-ORDERABLE was echoed, not checked
+        monkeypatch.chdir(tmp_path)
+        main(["generate", "linear-orders", "--upto", "4", "--out-class", "lo.cls"])
+        assert main(["orderable", "lo.cls", "--out", "o.cert"]) == 0
+        cert = parse_certificate((tmp_path / "o.cert").read_text())
+        payload = tuple(line for line in cert.payload if not line.startswith("phi "))
+        write_certificate(dataclasses.replace(cert, verdict="NOT-ORDERABLE",
+                                              payload=payload), "o.cert")
+        capsys.readouterr()
+        assert main(["verify", "o.cert"]) == 1
+        assert "cover 0 of the 2^1 orientation choices" in capsys.readouterr().out
 
     def test_class_check_fails_on_a_small_window(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -556,6 +620,23 @@ class TestSequenceCommands:
         assert cert.verdict == "FOUND"
         assert cert.payload_value("embedding") == "0,2,4"
         assert main(["verify", "x.cert"]) == 0
+
+    @pytest.mark.parametrize("line", ["candidates 999", "candidates 0",
+                                      "embedding 1,3,5"])
+    def test_extract_found_must_end_the_scan(self, tmp_path, monkeypatch,
+                                             capsys, line):
+        # (1, 3, 5) is indiscernible too, but not the first survivor; a
+        # forged count once replayed ok
+        monkeypatch.chdir(tmp_path)
+        seq = write_parity_sequence(tmp_path)
+        (lo3,) = write_orders(tmp_path, 3)
+        assert main(["extract", seq, lo3, "--out", "x.cert"]) == 0
+        cert = parse_certificate((tmp_path / "x.cert").read_text())
+        old = next(ln for ln in cert.payload if ln.split()[0] == line.split()[0])
+        resign(tmp_path / "x.cert", old, line)
+        capsys.readouterr()
+        assert main(["verify", "x.cert"]) == 1
+        assert "does not end on the recorded embedding" in capsys.readouterr().out
 
     @pytest.mark.parametrize("forged", ["4,2,0", "0,0,0", "0,2,99"])
     def test_extract_replay_rejects_a_non_embedding(self, tmp_path, monkeypatch,

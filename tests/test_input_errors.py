@@ -21,14 +21,15 @@ from hypothesis import strategies as st
 import ramseykit
 from ramseykit import (Certificate, FormulaSet, InputError, ParseError,
                        indexed_sequence, linear_order, parse_certificate,
-                       parse_document, parse_formula, replay_certificate,
-                       serialize_sequence, serialize_structure,
-                       write_certificate)
+                       parse_document, parse_formula, pure_sets,
+                       replay_certificate, serialize_class, serialize_sequence,
+                       serialize_structure, write_certificate)
 from ramseykit import certificates, cli, fileformat
 from ramseykit.cli import main
 
 from conftest import graph
-from test_cli import resign, write_orders, write_pentagon_sequence
+from test_cli import (resign, write_orders, write_pentagon_sequence,
+                      write_three_cycle_class)
 
 
 def run(argv) -> int:
@@ -340,6 +341,8 @@ def emitted(tmp_path_factory):
         (work / "p.seq").write_text(serialize_sequence(
             parity, FormulaSet((parse_formula("E(x0, x1)"),))))
         write_pentagon_sequence(work)
+        (work / "ps.cls").write_text(serialize_class(pure_sets(3)))
+        write_three_cycle_class(work)
         runs = [
             ["arrow", lo5, lo3, lo2, "--colors", "2", "--budget", "1000"],
             ["joint-arrow", lo5, lo3, lo2, "--colors", "2", "--mode",
@@ -357,6 +360,8 @@ def emitted(tmp_path_factory):
             ["extract", "p.seq", lo2],
             ["elf", lo5, "--tuple", "1,3"],
             ["extract", "c5.seq", "k2.struct"],
+            ["orderable", "ps.cls"],  # symmetric pair
+            ["orderable", "c3.cls"],  # two leaves
         ]
         paths = []
         for argv in runs:
@@ -399,7 +404,7 @@ def replays_or_rejects(work, lines) -> None:
     assert run(["verify", str(mutated)]) in (0, 1, 3)
 
 
-@pytest.mark.parametrize("kind", range(12))
+@pytest.mark.parametrize("kind", range(14))
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
