@@ -25,6 +25,7 @@ All results carry enough state to re-verify certificates with no search.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import sys
@@ -619,6 +620,24 @@ def find_monochromatic_copy(C: Structure, B: Structure, A: Structure,
     return None if good is None else Embedding(B, C, instance.bcopy_keys[good])
 
 
+def _first_witness(candidates, build, *, d: int = 1, budget):
+    """The one witness scan of degree probes, joint witnesses and ERP/f-ERP.
+
+    Decides ``build(C)`` at cap d for each candidate C in supply order
+    (generators should yield by increasing size) and returns the first C
+    that HOLDS, or None, with one ``(C, ArrowResult)`` row per candidate
+    scanned.  A candidate that runs out of budget is recorded and the scan
+    goes on.
+    """
+    rows = []
+    for C in candidates:
+        res = check_instance(build(C), "decide", d=d, budget=budget)
+        rows.append((C, res))
+        if res.verdict == HOLDS:
+            return C, tuple(rows)
+    return None, tuple(rows)
+
+
 # -- Ramsey degrees ----------------------------------------------------------
 
 
@@ -627,9 +646,10 @@ class DegreeBounds:
     """Outcome of probing upper witnesses for the Ramsey degree of A.
 
     ``verdict`` is WITNESS (some candidate C has the <= d image property
-    for every probed r), IMPOSSIBLE (d is below the automorphism lower
-    bound, so no C can exist), or INCONCLUSIVE.  ``checked`` records one
-    (candidate name, size, per-r verdicts) row per scanned candidate.
+    for r_cap colors, and so for every r <= r_cap), IMPOSSIBLE (d is below
+    the automorphism lower bound, so no C can exist), or INCONCLUSIVE.
+    ``checked`` records one (candidate name, size, ((r_cap, verdict),)) row
+    per scanned candidate.
     """
 
     lower: int
@@ -655,10 +675,11 @@ def ramsey_degree_upper_probe(A: Structure, B: Structure, candidates,
     """Scan candidates for C where every r-coloring (r <= r_cap) leaves some
     B-copy with at most d colors on its inner A-copies.
 
-    Candidates are tried in the order supplied (generators should yield by
-    increasing size).  When d is below |Aut(A)| no witness can exist and
-    the scan is skipped.  Colors r <= d hold trivially and are not probed,
-    so r_cap must exceed d.
+    :func:`_first_witness` decides each candidate once, at r_cap: an
+    r-coloring is an r_cap-coloring, so holding at r_cap is holding at
+    every r <= r_cap.  When d is below |Aut(A)| no witness can exist and
+    the scan is skipped.  Colors r <= d hold trivially, so r_cap must
+    exceed d.
     """
     if d < 1:
         raise ArrowError("degree cap must be positive")
@@ -669,22 +690,13 @@ def ramsey_degree_upper_probe(A: Structure, B: Structure, candidates,
     lower = ramsey_degree_lower(A)
     if d < lower:
         return DegreeBounds(lower, d, r_cap, "IMPOSSIBLE", None, ())
-
-    checked = []
-    for C in candidates:
-        per_r = []
-        for r in range(d + 1, r_cap + 1):  # r_cap > d: at least one round
-            verdict = check_instance(arrow_instance(C, B, A, r), "decide",
-                                     d=d, budget=budget).verdict
-            per_r.append((r, verdict))
-            if verdict != HOLDS:
-                break
-        checked.append((C.name or f"size{C.size}", C.size, tuple(per_r)))
-        if verdict == HOLDS:
-            return DegreeBounds(lower, d, r_cap, "WITNESS", C, tuple(checked))
-        if verdict == INCONCLUSIVE:
-            break
-    return DegreeBounds(lower, d, r_cap, "INCONCLUSIVE", None, tuple(checked))
+    witness, rows = _first_witness(
+        candidates, functools.partial(arrow_instance, B=B, A=A, r=r_cap),
+        d=d, budget=budget)
+    checked = tuple((C.name or f"size{C.size}", C.size, ((r_cap, res.verdict),))
+                    for C, res in rows)
+    return DegreeBounds(lower, d, r_cap, "INCONCLUSIVE" if witness is None
+                        else "WITNESS", witness, checked)
 
 
 # -- joint arrows ------------------------------------------------------------
@@ -790,9 +802,9 @@ def build_joint_witness(candidates, B: Structure, patterns, rs=None, *,
                         budget: int | None = DEFAULT_BUDGET) -> JointWitnessResult:
     """Compose single-arrow witnesses into a joint one, one pattern at a time.
 
-    Stage k replaces the current target T by the first candidate C (in
-    supply order, so generators should yield by increasing size) with
-    C -> (T)^{A}_r decided to hold, starting from T = B.  Patterns are
+    Stage k replaces the current target T by the witness that
+    :func:`_first_witness` finds for C -> (T)^{A}_r, starting from T = B;
+    its scanned rows are the stage's.  Patterns are
     consumed from the last to the first, which keeps the composed witness
     small when later patterns are the larger ones.  With no patterns the
     target itself is the witness.
@@ -802,24 +814,17 @@ def build_joint_witness(candidates, B: Structure, patterns, rs=None, *,
     if len(rs) != len(patterns):
         raise ArrowError("one color count per pattern required")
     pool = list(candidates)
-    names = [C.name or f"candidate{i}" for i, C in enumerate(pool)]
-
     current = B
     stages = []
     for p in range(len(patterns) - 1, -1, -1):
-        A, r = patterns[p], rs[p]
-        scanned = []
-        found = None
-        for C, name in zip(pool, names):
-            res = check_instance(arrow_instance(C, current, A, r),
-                                 "decide", budget=budget)
-            scanned.append((name, res.verdict))
-            if res.verdict == HOLDS:
-                found = C
-                break
+        found, rows = _first_witness(
+            pool, functools.partial(arrow_instance, B=current, A=patterns[p],
+                                    r=rs[p]), budget=budget)
+        scanned = tuple((C.name or f"candidate{i}", res.verdict)
+                        for i, (C, res) in enumerate(rows))
         stages.append(JointWitnessStage(
             p, current.name or f"size{current.size}",
-            found.name if found is not None else None, tuple(scanned)))
+            found.name if found is not None else None, scanned))
         if found is None:
             return JointWitnessResult("INCONCLUSIVE", None, tuple(stages))
         current = found

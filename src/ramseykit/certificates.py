@@ -513,15 +513,15 @@ def _replay_generate(cert: Certificate, report: ReplayReport) -> None:
     if family not in GENERATORS:
         raise CertificateError(f"no class family {family!r}")
     bound = cert.payload_int("upto")
-    # in every family the largest member has ``upto`` points; the recorded
-    # text, which the regenerated one must equal, is checked for that
-    # before generating, so the work stays bounded by the certificate
+    # every family has members of each size 1..upto and none larger; the
+    # recorded text, which the regenerated one must equal, is checked for
+    # that before generating, so the work stays bounded by its own lines
     recorded = cert.section("class")
-    sizes = [read_natural(line[len("domain "):], "domain")
-             for line in recorded.splitlines() if line.startswith("domain ")]
-    if max(sizes, default=0) != bound:
-        raise CertificateError(f"the recorded class has no largest member of "
-                               f"{bound} points")
+    sizes = {read_natural(line[len("domain "):], "domain")
+             for line in recorded.splitlines() if line.startswith("domain ")}
+    if min(sizes, default=0) != 1 or max(sizes) != bound or len(sizes) != bound:
+        raise CertificateError(f"the recorded class has no member sizes "
+                               f"1..{bound}")
     fresh = serialize_class(GENERATORS[family](bound), name=family)
     if fresh == recorded:
         report.add(f"{family} regenerated up to {bound}: identical bytes")

@@ -18,7 +18,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .arrows import DEFAULT_BUDGET, FAILS, HOLDS, arrow_instance, check_instance, \
+from .arrows import DEFAULT_BUDGET, _first_witness, arrow_instance, \
     subset_arrow_instance
 from .embeddings import automorphism_group, embeds, enumerate_embeddings, \
     iter_embeddings
@@ -371,26 +371,20 @@ def _scan_witnesses(questions, candidates, budget):
     """Rows and verdict shared by the ERP and f-ERP scans.
 
     Each question is ``(head, build)``: its row prefix and the builder of
-    its arrow instance over one candidate.  Its witness is the first
-    candidate whose arrow is decided to hold, and its row is ``head +
-    (witness name or None, per-candidate verdicts)``.  A question without
-    a witness is refuted unless some candidate ran out of budget.  Returns
-    ``(verdict, rows, index of the first refuted question or None)``: FAIL
-    if a question is refuted, else INCONCLUSIVE if a candidate ran out of
-    budget, else PASS.
+    its arrow instance over one candidate, which :func:`_first_witness`
+    scans.  Its row is ``head + (witness name or None, per-candidate
+    verdicts)``.  A question without a witness is refuted unless some
+    candidate ran out of budget.  Returns ``(verdict, rows, index of the
+    first refuted question or None)``: FAIL if a question is refuted, else
+    INCONCLUSIVE if a candidate ran out of budget, else PASS.
     """
     rows = []
     refuted = None
     saw_budget = False
     for qi, (head, build) in enumerate(questions):
-        verdicts = []
-        witness = None
-        for C in candidates:
-            verdicts.append(check_instance(build(C), "decide", budget=budget).verdict)
-            if verdicts[-1] == HOLDS:
-                witness = C.name
-                break
-        rows.append(head + (witness, tuple(verdicts)))
+        witness, scanned = _first_witness(candidates, build, budget=budget)
+        verdicts = tuple(res.verdict for _, res in scanned)
+        rows.append(head + (None if witness is None else witness.name, verdicts))
         if witness is None:
             if INCONCLUSIVE in verdicts:
                 saw_budget = True

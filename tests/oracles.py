@@ -10,9 +10,11 @@ elements.
 import itertools
 import random
 
-from ramseykit import (PropertyReport, Structure, canonical_certificate,
-                       canonical_form, define_by_type_union, qftp,
-                       substructure_closure, tuples_by_type, type_digest)
+from ramseykit import (HOLDS, INCONCLUSIVE, DegreeBounds, PropertyReport,
+                       Structure, arrow_instance, canonical_certificate,
+                       canonical_form, check_instance, define_by_type_union,
+                       qftp, ramsey_degree_lower, substructure_closure,
+                       tuples_by_type, type_digest)
 from ramseykit.classes import GRAPH_SIGNATURE, OrderabilityResult
 
 
@@ -162,6 +164,31 @@ def oracle_arrow_holds(C: Structure, B: Structure, A: Structure, r: int,
         if not any(len({colors[ci] for ci in mem}) <= d for mem in members):
             return False
     return True
+
+
+def oracle_degree_probe(A: Structure, B: Structure, candidates, d: int, *,
+                        r_cap: int, budget) -> DegreeBounds:
+    """The degree probe as a loop over r: each candidate is decided at
+    r = d + 1, d + 2, ... up to r_cap while it HOLDS, and the scan stops at
+    the first candidate that HOLDS at every r or ends INCONCLUSIVE."""
+    lower = ramsey_degree_lower(A)
+    if d < lower:
+        return DegreeBounds(lower, d, r_cap, "IMPOSSIBLE", None, ())
+    checked = []
+    for C in candidates:
+        per_r = []
+        for r in range(d + 1, r_cap + 1):
+            verdict = check_instance(arrow_instance(C, B, A, r), "decide",
+                                     d=d, budget=budget).verdict
+            per_r.append((r, verdict))
+            if verdict != HOLDS:
+                break
+        checked.append((C.name or f"size{C.size}", C.size, tuple(per_r)))
+        if verdict == HOLDS:
+            return DegreeBounds(lower, d, r_cap, "WITNESS", C, tuple(checked))
+        if verdict == INCONCLUSIVE:
+            break
+    return DegreeBounds(lower, d, r_cap, "INCONCLUSIVE", None, tuple(checked))
 
 
 def oracle_joint_holds(nb: int, members, sizes, rs, caps) -> bool:

@@ -1,6 +1,7 @@
 """Partition-arrow instances, verdict search, degrees, and joint arrows."""
 
 import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -11,8 +12,9 @@ from ramseykit import (FAILS, HOLDS, INCONCLUSIVE, ArrowError, ArrowInstance,
                        Coloring, Embedding, Structure, TermColoringError,
                        arrow_check, arrow_instance, build_joint_witness,
                        check_instance, coloring_refutes, copies_of_type,
-                       erp_check, find_monochromatic_copy, joint_arrow_check,
-                       joint_instance, linear_order, linear_orders, parse_term,
+                       embeds, erp_check, find_monochromatic_copy,
+                       joint_arrow_check, joint_instance, linear_order,
+                       linear_orders, parse_term,
                        promote_arrow_witness, pure_set, qftp,
                        ramsey_degree_lower, ramsey_degree_upper_probe,
                        render_cnf, subset_arrow_instance,
@@ -20,12 +22,13 @@ from ramseykit import (FAILS, HOLDS, INCONCLUSIVE, ArrowError, ArrowInstance,
 from ramseykit.arrows import (_bcopy_rows, _first_good_bcopy, _live_parts,
                               _refute_by_local_search, _run,
                               _search_bad_coloring, build_instance)
+from ramseykit.classes import GENERATORS, PASS, _scan_witnesses
 
 from conftest import (FN_SIG, binary_structures, functional_structures,
                       graph)
-from oracles import (oracle_arrow_holds, oracle_first_bad_draw,
-                     oracle_joint_holds, oracle_search_bad_coloring,
-                     oracle_subset_members)
+from oracles import (oracle_arrow_holds, oracle_degree_probe,
+                     oracle_first_bad_draw, oracle_joint_holds,
+                     oracle_search_bad_coloring, oracle_subset_members)
 
 
 def successor_chain(n):
@@ -633,6 +636,35 @@ class TestDegrees:
         assert all(row[2] == ((2, FAILS),) for row in out.checked[:-1])
         assert out.checked[-1][2] == ((2, HOLDS),)
 
+    @pytest.mark.parametrize("family, pair_bound, upto", [
+        ("linear-orders", 4, 8), ("pure-sets", 3, 6), ("graphs", 3, 5),
+        ("ordered-graphs", 3, 4)])
+    def test_one_decide_at_the_colour_cap(self, family, pair_bound, upto):
+        # an r-colouring is an r_cap-colouring, so where the loop over r
+        # finds a witness without running out of budget, so does the probe
+        members = GENERATORS[family](pair_bound).members
+        supply = GENERATORS[family](upto).members
+        compared = 0
+        for B, A in itertools.product(members, repeat=2):
+            if A.size >= B.size or not embeds(B, A):
+                continue
+            for d in sorted({1, 2, ramsey_degree_lower(A)}):
+                for r_cap in (d + 1, d + 2):
+                    out = ramsey_degree_upper_probe(A, B, supply, d, r_cap=r_cap,
+                                                    budget=20_000)
+                    loop = oracle_degree_probe(A, B, supply, d, r_cap=r_cap,
+                                               budget=20_000)
+                    if loop.verdict == "WITNESS" and INCONCLUSIVE not in (
+                            v for row in loop.checked for _, v in row[2]):
+                        assert out.witness is loop.witness
+                        compared += 1
+                    if out.verdict == "WITNESS":
+                        assert all(check_instance(
+                            arrow_instance(out.witness, B, A, r), "decide",
+                            d=d, budget=None).verdict == HOLDS
+                            for r in range(d + 1, r_cap + 1))
+        assert compared
+
     @pytest.mark.parametrize("r_cap", [0, 1])
     def test_colour_cap_must_exceed_the_degree(self, r_cap):
         # with no colour count above d to probe, LO_1 would pass as a witness
@@ -643,6 +675,33 @@ class TestDegrees:
     def test_pattern_must_embed_in_target(self):
         with pytest.raises(ArrowError):
             ramsey_degree_upper_probe(linear_order(3), linear_order(2), [], 1)
+
+
+class TestFirstWitness:
+    """One rule for a candidate that runs out of budget: it is recorded
+    and the scan goes on, in degree probes, joint witnesses and ERP."""
+
+    SUPPLY = [linear_order(9), linear_order(6)]  # LO_9 needs over 1,000 nodes
+
+    def test_degree_probe(self):
+        out = ramsey_degree_upper_probe(linear_order(2), linear_order(3),
+                                        self.SUPPLY, 1, r_cap=2, budget=1000)
+        assert out.verdict == "WITNESS"
+        assert out.witness.name == "LO_6"
+        assert out.checked == (("LO_9", 9, ((2, INCONCLUSIVE),)),
+                               ("LO_6", 6, ((2, HOLDS),)))
+
+    def test_joint_witness(self):
+        out = build_joint_witness(self.SUPPLY, linear_order(3),
+                                  [linear_order(2)], budget=1000)
+        assert out.witness.name == "LO_6"
+        assert out.stages[0].scanned == (("LO_9", INCONCLUSIVE), ("LO_6", HOLDS))
+
+    def test_erp_scan(self):
+        build = functools.partial(arrow_instance, B=linear_order(3),
+                                  A=linear_order(2), r=2)
+        assert _scan_witnesses([(("LO_2", "LO_3"), build)], self.SUPPLY, 1000) \
+            == (PASS, (("LO_2", "LO_3", "LO_6", (INCONCLUSIVE, HOLDS)),), None)
 
 
 class TestJointArrows:

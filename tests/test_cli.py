@@ -287,6 +287,22 @@ class TestJointAndDegree:
         assert cert.has_section("witness")
         assert main(["verify", "d.cert"]) == 0
 
+    def test_degree_decides_each_candidate_at_the_colour_cap(self, tmp_path,
+                                                             monkeypatch):
+        # three colours on points leave a monochromatic LO_3 from 3*2+1 on
+        monkeypatch.chdir(tmp_path)
+        lo1, lo3 = write_orders(tmp_path, 1, 3)
+        assert main(["degree", lo1, lo3, "--degree", "1", "--max-colors", "3",
+                     "--candidates", "linear-orders", "--upto", "8",
+                     "--out", "d.cert"]) == 0
+        cert = parse_certificate((tmp_path / "d.cert").read_text())
+        assert parse_structure_file(cert.section("witness")).name == "LO_7"
+        probes = [line for line in cert.payload if line.startswith("probe ")]
+        assert len(probes) == 7
+        assert all(line.count(" r=") == 1 and " r=3:" in line for line in probes)
+        assert probes[-1] == "probe LO_7 size=7 r=3:HOLDS"
+        assert main(["verify", "d.cert"]) == 0
+
     @pytest.mark.parametrize("max_colors", ["1", "0"])
     def test_degree_with_no_colour_count_to_probe_exits_three(
             self, tmp_path, monkeypatch, max_colors):

@@ -144,6 +144,21 @@ class TestCertificateInput:
         resign(tmp_path / "g.cert", "upto 3", "upto 1000000000")
         assert main(["verify", "g.cert"]) == 3
 
+    @pytest.mark.parametrize("family", ["linear-orders", "pure-sets", "graphs",
+                                        "ordered-graphs"])
+    def test_forged_member_size_exits_three(self, tmp_path, monkeypatch,
+                                            no_recomputation, family):
+        # the largest member has `upto` points, but sizes 3..999999 are missing
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", family, "--upto", "3", "--out", "g.cert"]) == 0
+        cert = parse_certificate((tmp_path / "g.cert").read_text())
+        write_certificate(dataclasses.replace(
+            cert, sections=(("class", cert.section("class").replace(
+                "domain 3\n", "domain 1000000\n")),),
+            payload=tuple("upto 1000000" if line == "upto 3" else line
+                          for line in cert.payload)), "g.cert")
+        assert main(["verify", "g.cert"]) == 3
+
     @pytest.mark.parametrize("kind", ["orderable", "class-check"])
     def test_a_generate_row_in_a_class_section_exits_three(
             self, tmp_path, monkeypatch, kind):
